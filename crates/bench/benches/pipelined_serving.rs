@@ -1,7 +1,7 @@
 //! Pipelined serving throughput: queries/sec of the cross-user batched shard
 //! scheduler (`IndexServer::handle_query_stream` driven by
-//! `drive_pipelined_queries`) at batch sizes 1/4/16/64 across all three
-//! storage engines, against the per-query thread-pool driver as baseline —
+//! `drive_pipelined_queries`) at batch sizes 1/4/16/64 on the sharded and
+//! single-mutex storage engines, against the per-query thread-pool driver as baseline —
 //! plus a shard-worker sweep (1/2/4/#cores persistent pool workers at
 //! batch 64) against the sequential in-thread scheduler.
 //!
@@ -33,10 +33,9 @@ use zerber_protocol::{
 use zerber_workload::{QueryLogConfig, TestBed, TestBedConfig};
 
 const BATCH_SIZES: [usize; 4] = [1, 4, 16, 64];
-const ENGINES: [(&str, StoreEngine); 3] = [
+const ENGINES: [(&str, StoreEngine); 2] = [
     ("sharded", StoreEngine::Sharded),
     ("single_mutex", StoreEngine::SingleMutex),
-    ("segment", StoreEngine::Segment),
 ];
 /// Queries per measured run.  Large enough that thread spawn/teardown of the
 /// drivers amortizes to noise at the measured >100k q/s rates.

@@ -1,7 +1,9 @@
 //! Storage-engine comparison: resident memory and serving throughput of the
-//! compressed `SegmentStore` and the on-disk `SpillStore` versus the
-//! plain-`Vec` `ShardedStore` on a fig10-style (query-log-weighted)
-//! workload.
+//! compressed segment-stack layout (`SpillStore`) — once with a budget
+//! covering the whole index (the `segment` row: every segment resident, no
+//! page written) and once spilling every sealed segment to disk (the
+//! `spill` row) — versus the plain-`Vec` `ShardedStore` on a fig10-style
+//! (query-log-weighted) workload.
 //!
 //! Besides the criterion timings, the bench writes a machine-readable
 //! `BENCH_store_engines.json` to the repository root recording, per engine,
@@ -64,6 +66,19 @@ fn load(threads: usize) -> LoadConfig {
         queries_per_thread: TOTAL_QUERIES / threads,
         k: 10,
     }
+}
+
+/// The compressed in-memory tuning of the `segment` row: a resident budget
+/// covering the whole index, the default segment layout, and no tiering
+/// passes (with everything resident there is nothing to move).
+fn resident_tuning() -> (SpillConfig, SegmentConfig) {
+    (
+        SpillConfig {
+            resident_budget_bytes: usize::MAX,
+            ..SpillConfig::default().without_tiering()
+        },
+        SegmentConfig::default(),
+    )
 }
 
 /// The spill tuning of the bench: spill every sealed segment (budget 0),
@@ -190,7 +205,8 @@ fn bench_store_engines(c: &mut Criterion) {
     let bed = bed();
     let users = TestBed::server_users(USERS);
     let sharded = bed.build_engine_server(StoreEngine::Sharded, SHARDS, USERS);
-    let segment = bed.build_engine_server(StoreEngine::Segment, SHARDS, USERS);
+    let (resident_config, resident_segment) = resident_tuning();
+    let segment = bed.build_tuned_spill_server(SHARDS, USERS, resident_config, resident_segment);
     let (spill_config, spill_segment) = spill_tuning();
     let spill = bed.build_tuned_spill_server(SHARDS, USERS, spill_config, spill_segment);
     let lists = workload_lists(&bed);

@@ -43,8 +43,8 @@ pub use client::{Client, ClientQueryOutcome};
 pub use error::ProtocolError;
 pub use message::{QueryRequest, QueryResponse, WireElement, ELEMENT_HEADER_BYTES};
 pub use netsim::{
-    drive_client_queries, drive_pipelined_queries, drive_raw_queries, LoadConfig, NetworkModel,
-    PipelineConfig, ResponseBreakdown, ThroughputReport, ALTAVISTA_TOP10_BYTES, GOOGLE_TOP10_BYTES,
+    drive_pipelined_queries, drive_raw_queries, LoadConfig, NetworkModel, PipelineConfig,
+    ResponseBreakdown, ThroughputReport, ALTAVISTA_TOP10_BYTES, GOOGLE_TOP10_BYTES,
     PAPER_POSTING_BITS, SNIPPET_BYTES, YAHOO_TOP10_BYTES,
 };
 pub use pool::{RoundStats, ShardWorkerPool};

@@ -8,17 +8,13 @@
 //! 250 B including XML formatting"; Google/Altavista/Yahoo top-10 responses
 //! are quoted at 15 KB / 37 KB / 59 KB for comparison.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-use zerber_corpus::{GroupId, TermId};
-use zerber_crypto::GroupKeys;
-use zerber_r::RetrievalConfig;
 
 use crate::acl::AuthToken;
-use crate::client::Client;
 use crate::error::ProtocolError;
 use crate::message::QueryRequest;
 use crate::server::IndexServer;
@@ -144,17 +140,6 @@ pub struct LoadConfig {
     pub queries_per_thread: usize,
     /// The `k` of every query (also used as the initial response size `b`).
     pub k: usize,
-}
-
-impl LoadConfig {
-    /// A load of `threads` workers with paper-default `k = b = 10`.
-    pub fn for_threads(threads: usize) -> Self {
-        LoadConfig {
-            threads: threads.max(1),
-            queries_per_thread: 100,
-            k: 10,
-        }
-    }
 }
 
 /// Aggregate outcome of one load-generation run.
@@ -461,56 +446,6 @@ pub fn drive_pipelined_queries(
     let elapsed = start.elapsed().as_secs_f64();
     let elements = server.stats().elements_sent - elements_before;
     Ok(report(workers, served, elapsed, waited, elements))
-}
-
-/// Drives complete client-side retrievals (decryption included) from a pool
-/// of worker threads.  Worker `w` authenticates as `users[w % len]` with the
-/// shared `keyring` and executes top-k queries over `terms` via the full
-/// follow-up protocol.
-pub fn drive_client_queries(
-    server: &IndexServer,
-    plan: &zerber_base::MergePlan,
-    users: &[String],
-    keyring: &HashMap<GroupId, GroupKeys>,
-    terms: &[TermId],
-    config: &LoadConfig,
-) -> Result<ThroughputReport, ProtocolError> {
-    if users.is_empty() || terms.is_empty() {
-        return Err(ProtocolError::InvalidRequest(
-            "load generation needs at least one user and one term".into(),
-        ));
-    }
-    let elements_before = server.stats().elements_sent;
-    let start = Instant::now();
-    let queries: u64 = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..config.threads)
-            .map(|w| {
-                scope.spawn(move || -> Result<u64, ProtocolError> {
-                    let user = &users[w % users.len()];
-                    let token = server.acl().issue_token(user);
-                    let client = Client::new(user.clone(), token, keyring.clone());
-                    let retrieval = RetrievalConfig::for_k(config.k);
-                    let mut served = 0u64;
-                    for i in 0..config.queries_per_thread {
-                        let term = terms[(w.wrapping_mul(31) + i) % terms.len()];
-                        client.query(server, plan, term, &retrieval)?;
-                        served += 1;
-                    }
-                    Ok(served)
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            // analyze::allow(panic): join fails only if the worker already
-            // panicked; re-panicking the load harness preserves that bug
-            // instead of reporting a bogus throughput number
-            .map(|w| w.join().expect("load worker must not panic"))
-            .sum::<Result<u64, ProtocolError>>()
-    })?;
-    let elapsed = start.elapsed().as_secs_f64();
-    let elements = server.stats().elements_sent - elements_before;
-    Ok(report(config.threads, queries, elapsed, 0.0, elements))
 }
 
 #[cfg(test)]

@@ -39,8 +39,8 @@ use zerber_base::MergedListId;
 use zerber_corpus::GroupId;
 use zerber_r::{OrderedElement, OrderedIndex};
 use zerber_store::{
-    CursorId, DurableConfig, ListStore, RangedBatch, RangedFetch, SegmentStore, ShardedStore,
-    SingleMutexStore, SpillConfig, SpillStore, StoreError, StoreJob,
+    CursorId, DurableConfig, ListStore, RangedBatch, RangedFetch, ShardedStore, SingleMutexStore,
+    SpillConfig, SpillStore, StoreError, StoreJob,
 };
 
 use crate::acl::{AccessControl, AuthToken};
@@ -398,12 +398,13 @@ pub enum StoreEngine {
     Sharded,
     /// One global mutex around a single table (the contention baseline).
     SingleMutex,
-    /// Sharded tables over compressed block-encoded segments with per-block
-    /// skip entries (the memory-footprint engine).
-    Segment,
-    /// Sharded segment tables whose cold sealed segments spill to per-shard
-    /// page files behind an LRU page cache (the beyond-RAM engine; page
-    /// files live in a fresh temp directory removed when the server drops).
+    /// Sharded tables over compressed block-encoded segments whose cold
+    /// sealed segments spill to per-shard page files behind an LRU page
+    /// cache (the beyond-RAM engine; page files live in a fresh temp
+    /// directory removed when the server drops).  A compressed in-memory
+    /// server is this layout with a covering resident budget
+    /// ([`SpillConfig::resident_budget_bytes`]), passed to
+    /// [`IndexServer::with_store`].
     Spill,
     /// The spill engine with the full durability machinery engaged:
     /// checkpoint manifests, per-shard write-ahead logging of inserts and
@@ -486,12 +487,6 @@ impl IndexServer {
         Self::with_store(Box::new(SingleMutexStore::new(index)), acl)
     }
 
-    /// Creates a server over the compressed segment engine.
-    pub fn segmented(index: OrderedIndex, acl: AccessControl) -> Result<Self, ProtocolError> {
-        let store = SegmentStore::new(index).map_err(map_store_error)?;
-        Ok(Self::with_store(Box::new(store), acl))
-    }
-
     /// Creates a server over the selected engine, sharded across
     /// `num_shards` storage shards where the engine supports sharding.
     /// Fails only when the engine itself cannot be built (a segment payload
@@ -505,9 +500,6 @@ impl IndexServer {
         let store: Box<dyn ListStore> = match engine {
             StoreEngine::Sharded => Box::new(ShardedStore::with_shards(index, num_shards)),
             StoreEngine::SingleMutex => Box::new(SingleMutexStore::new(index)),
-            StoreEngine::Segment => {
-                Box::new(SegmentStore::with_shards(index, num_shards).map_err(map_store_error)?)
-            }
             StoreEngine::Spill => Box::new(
                 SpillStore::in_temp_dir(index, num_shards, SpillConfig::default())
                     .map_err(map_store_error)?,
@@ -1244,14 +1236,32 @@ mod tests {
         for u in &users {
             acl.register_user(u, &[GroupId(0), GroupId(1)]);
         }
-        for engine in [
+        let engine_servers = [
             StoreEngine::Sharded,
             StoreEngine::SingleMutex,
-            StoreEngine::Segment,
             StoreEngine::Spill,
             StoreEngine::Durable,
-        ] {
+        ]
+        .map(|engine| {
             let server = IndexServer::with_engine(index.clone(), acl.clone(), engine, 4).unwrap();
+            (format!("{engine:?}"), server)
+        });
+        // The compressed in-memory layout: a spill store whose budget
+        // covers the whole index.
+        let resident = SpillStore::in_temp_dir(
+            index.clone(),
+            4,
+            SpillConfig {
+                resident_budget_bytes: usize::MAX,
+                ..SpillConfig::default().without_tiering()
+            },
+        )
+        .unwrap();
+        let resident = (
+            "all-resident spill".to_string(),
+            IndexServer::with_store(Box::new(resident), acl.clone()),
+        );
+        for (engine, server) in engine_servers.into_iter().chain([resident]) {
             let list = list_for(&c, &server, "imclone");
             // 64 requests, 4 distinct users, all against one merged list —
             // a single-shard round.
@@ -1263,12 +1273,12 @@ mod tests {
                 .collect();
             server.reset_stats();
             let results = server.handle_query_stream(&round);
-            assert!(results.iter().all(|r| r.is_ok()), "engine {engine:?}");
+            assert!(results.iter().all(|r| r.is_ok()), "engine {engine}");
             let stats = server.stats();
             assert_eq!(stats.requests_served, 64);
             assert_eq!(stats.batches, 1);
             // One list => one shard => exactly one lock for all 64 requests.
-            assert_eq!(stats.lock_acquisitions, 1, "engine {engine:?}");
+            assert_eq!(stats.lock_acquisitions, 1, "engine {engine}");
             // One HMAC verification per distinct user, not per request.
             assert_eq!(stats.auth_checks, users.len() as u64);
         }

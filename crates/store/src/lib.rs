@@ -16,15 +16,14 @@
 //! * [`ShardedStore`] — lists partitioned across N shards, each behind its
 //!   own `RwLock`; queries on different lists never contend and an insert
 //!   write-locks exactly one shard.
-//! * [`SegmentStore`] — the same sharded concurrency machinery over the
-//!   compressed segment layout of [`segment`]: immutable block-encoded
-//!   segments with per-block skip entries (first/last TRS, element count,
-//!   per-group visible counts) plus a small mutable tail absorbing inserts.
-//! * [`SpillStore`] — the same sharded machinery over the on-disk spill
-//!   layout of [`spill`]: cold sealed segments live in per-shard page files
-//!   (the segment wire format is the page format) behind a byte-budgeted
-//!   LRU page cache, with only summaries, tails and the hot working set
-//!   resident.
+//! * [`SpillStore`] — the same sharded machinery over the segment-stack
+//!   layout of [`spill`]: immutable block-encoded segments ([`segment`])
+//!   with per-block skip entries (first/last TRS, element count, per-group
+//!   visible counts) plus a small mutable tail absorbing inserts.  Sealed
+//!   segments stay resident while the shard budget covers them; cold ones
+//!   live in per-shard page files (the segment wire format is the page
+//!   format) behind a byte-budgeted LRU page cache.  A covering budget
+//!   (`usize::MAX`) is the compressed in-memory engine.
 //! * [`SingleMutexStore`] — the pre-sharding architecture (one global mutex),
 //!   kept as the contention baseline for the throughput experiments.
 //!
@@ -66,8 +65,8 @@ pub use replication::{
     ReplicaConfig, ReplicaReadStore, ReplicaStats, ReplicaTransport, ReplicationSource,
     SnapshotFile, SnapshotPayload, TransportError, WireFrame,
 };
-pub use segment::{Segment, SegmentConfig, SegmentList};
-pub use sharded::{SegmentStore, ShardedStore, MAX_SHARDS};
+pub use segment::{Segment, SegmentConfig};
+pub use sharded::{ShardedStore, MAX_SHARDS};
 pub use single::SingleMutexStore;
 pub use spill::{SpillConfig, SpillList, SpillStore};
 pub use store::{
@@ -134,8 +133,19 @@ mod tests {
         }
     }
 
-    fn segment_store() -> SegmentStore {
-        SegmentStore::with_config(index(), 4, small_segment_config()).unwrap()
+    fn segment_store() -> SpillStore {
+        // A budget covering the whole index: the compressed in-memory
+        // layout, every sealed segment resident and no page written.
+        SpillStore::in_temp_dir_with(
+            index(),
+            4,
+            SpillConfig {
+                resident_budget_bytes: usize::MAX,
+                ..SpillConfig::default().without_tiering()
+            },
+            small_segment_config(),
+        )
+        .unwrap()
     }
 
     fn spill_store() -> SpillStore {
@@ -220,6 +230,10 @@ mod tests {
             );
         }
         assert!(segmented.verify_ordering());
+        // Everything stayed resident: no page was ever written.
+        assert_eq!(segmented.spilled_bytes(), 0);
+        assert_eq!(segmented.page_file_bytes(), 0);
+        assert_eq!(segmented.page_faults(), 0);
         assert_eq!(segmented.num_elements(), sharded.num_elements());
         assert_eq!(segmented.stored_bytes(), sharded.stored_bytes());
         assert_eq!(segmented.ciphertext_bytes(), sharded.ciphertext_bytes());
@@ -229,8 +243,8 @@ mod tests {
             "segments must be smaller than the vec layout, got {ratio:.3}"
         );
         // The group-filtered visible_len calls above were answered from the
-        // per-block skip entries: the segment engine examined only tail
-        // elements (none here), the vec engine walked every list in full.
+        // slot summaries: the segment layout examined only tail elements
+        // (none here), the vec engine walked every list in full.
         assert_eq!(segmented.visibility_scan_cost(), 0);
         assert!(sharded.visibility_scan_cost() > 0);
     }
@@ -616,7 +630,7 @@ mod tests {
         assert!(spilled.verify_ordering());
         // With a zero resident budget, the sealed payload lives on disk:
         // spilled bytes are substantial and the resident footprint sits well
-        // under the fully in-memory segment engine (summaries + tails +
+        // under the same layout with a covering budget (summaries + tails +
         // whatever the small page cache holds).
         assert!(spilled.spilled_bytes() > 0);
         assert!(

@@ -4,8 +4,9 @@
 //! The paper's server holds merged posting lists as sealed elements in TRS
 //! order; its economics hinge on how cheaply that ordered store can be held
 //! and scanned.  The plain `Vec<OrderedElement>` layout pays the full struct
-//! width (plus one heap allocation) per element.  A [`SegmentList`] instead
-//! keeps the elements in compressed **blocks**:
+//! width (plus one heap allocation) per element.  The segment-stack list
+//! ([`crate::spill::SpillList`]) instead keeps the elements in compressed
+//! **blocks**:
 //!
 //! * TRS values are delta-encoded through the order-preserving
 //!   [`sortable_bits`] mapping — bit-exact, so decoded elements compare
@@ -34,8 +35,6 @@
 //! untrusted bytes and must reject every truncation or bit flip with an
 //! error, never a panic.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use zerber_base::EncryptedElement;
 use zerber_corpus::GroupId;
 use zerber_index::compress::{
@@ -45,7 +44,7 @@ use zerber_r::{OrderedElement, TRS_BYTES};
 
 use crate::convert::{read_bytes as payload_slice, try_u32, try_usize, u64_of, usize_of};
 use crate::error::StoreError;
-use crate::store::{is_visible, is_visible_group, OrderedList};
+use crate::store::is_visible_group;
 
 /// Magic number heading every serialized segment ("ZSEG" little-endian).
 const SEGMENT_MAGIC: u64 = 0x4745_535a;
@@ -154,11 +153,6 @@ pub struct Segment {
 
 fn corrupt(reason: impl std::fmt::Display) -> StoreError {
     StoreError::CorruptSegment(reason.to_string())
-}
-
-/// Encoded length of one LEB128 varint (mirrors `write_varint`).
-fn varint_len(value: u64) -> usize {
-    (64 - usize_of(value.max(1).leading_zeros())).div_ceil(7)
 }
 
 /// Encodes one block of ordered elements onto `out`, returning its skip
@@ -442,16 +436,6 @@ impl Segment {
         self.blocks.len()
     }
 
-    /// The smallest TRS in the segment (its last element).
-    pub(crate) fn min_trs(&self) -> f64 {
-        self.blocks
-            .last()
-            // analyze::allow(panic): encode_chunk_split never emits an empty
-            // segment, so the block list is non-empty by construction
-            .expect("segments are never empty")
-            .last_trs()
-    }
-
     /// Encoded payload length in bytes (compaction's byte-bound check).
     pub(crate) fn payload_len(&self) -> usize {
         self.payload.len()
@@ -496,8 +480,8 @@ impl Segment {
     /// carries the visible-skip state across segments.  Visible elements
     /// past the skip are appended to `out`; once `out` holds `count`
     /// elements the global next-physical index is returned and the scan
-    /// stops.  Shared by the in-memory segment layout and the on-disk spill
-    /// layout so both serve bit-identical batches.
+    /// stops.  Resident and faulted-in segments scan through this one path,
+    /// so both serve bit-identical batches.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_part(
         &self,
@@ -590,7 +574,7 @@ impl Segment {
     /// The local insertion index for `trs` inside this segment (after
     /// strictly greater elements, before equal ones).  The caller has
     /// already established that the partition point lies in this segment
-    /// (`min_trs() <= trs`).
+    /// (its smallest TRS is `<= trs`).
     pub(crate) fn insert_pos(&self, trs: f64) -> usize {
         // Locate the first block whose smallest element no longer exceeds
         // `trs`, then stream just that block.
@@ -653,34 +637,35 @@ impl Segment {
         out
     }
 
-    /// Appends another segment (the positionally next one) onto this one:
-    /// pure block concatenation, no re-encode.  Refuses — before mutating
-    /// anything, handing `other` back untouched — a merge whose combined
-    /// payload would overflow the u32 offset space; compaction keeps the
-    /// pair separate instead of panicking.
-    pub(crate) fn absorb(&mut self, other: Segment) -> Result<(), Segment> {
-        if self
+    /// Concatenates this segment with the positionally next one: pure
+    /// block concatenation, no re-encode.  Fails with
+    /// [`StoreError::SegmentOverflow`] if the combined payload would
+    /// overflow the u32 offset space.
+    pub(crate) fn concat(&self, next: &Segment) -> Result<Segment, StoreError> {
+        let shift = try_u32(self.payload.len())?;
+        let total = self
             .payload
             .len()
-            .checked_add(other.payload.len())
-            .is_none_or(|total| total > usize_of(u32::MAX))
-        {
-            return Err(other);
-        }
-        // In the u32 range by the check above.
-        let Ok(shift) = try_u32(self.payload.len()) else {
-            return Err(other);
-        };
-        self.payload.extend_from_slice(&other.payload);
-        self.payload.shrink_to_fit();
-        self.blocks.extend(other.blocks.into_iter().map(|mut b| {
-            b.offset += shift;
-            b
+            .checked_add(next.payload.len())
+            .ok_or(StoreError::SegmentOverflow)?;
+        // Every shifted offset lies below `total`, which fits in a u32.
+        try_u32(total)?;
+        let mut payload = Vec::with_capacity(total);
+        payload.extend_from_slice(&self.payload);
+        payload.extend_from_slice(&next.payload);
+        let mut blocks = Vec::with_capacity(self.blocks.len() + next.blocks.len());
+        blocks.extend(self.blocks.iter().cloned());
+        blocks.extend(next.blocks.iter().map(|b| BlockMeta {
+            offset: b.offset + shift,
+            ..b.clone()
         }));
-        self.elems += other.elems;
-        self.stored_bytes += other.stored_bytes;
-        self.ciphertext_bytes += other.ciphertext_bytes;
-        Ok(())
+        Ok(Segment {
+            payload,
+            blocks,
+            elems: self.elems + next.elems,
+            stored_bytes: self.stored_bytes + next.stored_bytes,
+            ciphertext_bytes: self.ciphertext_bytes + next.ciphertext_bytes,
+        })
     }
 
     /// Estimated resident memory of the segment.
@@ -693,27 +678,6 @@ impl Segment {
                 .iter()
                 .map(|b| b.counts.len() * std::mem::size_of::<(GroupId, u32)>())
                 .sum::<usize>()
-    }
-
-    /// Exact byte length of [`Segment::to_bytes`] without materializing the
-    /// buffer — the live-byte accounting the spill engine's compaction
-    /// planner reads when deciding whether a page file is worth rewriting.
-    pub fn encoded_len(&self) -> usize {
-        let mut len = varint_len(SEGMENT_MAGIC)
-            + varint_len(SEGMENT_VERSION)
-            + varint_len(u64_of(self.elems))
-            + varint_len(u64_of(self.blocks.len()));
-        for meta in &self.blocks {
-            len += varint_len(u64::from(meta.elems))
-                + varint_len(meta.first)
-                + varint_len(meta.last)
-                + varint_len(u64_of(meta.counts.len()))
-                + varint_len(u64::from(meta.byte_len));
-            for &(group, count) in &meta.counts {
-                len += varint_len(u64::from(group.0)) + varint_len(u64::from(count));
-            }
-        }
-        len + self.payload.len()
     }
 
     /// Serializes the segment to its validated wire format.
@@ -865,19 +829,6 @@ impl Segment {
     }
 }
 
-/// A merged list stored as a stack of compressed segments plus a mutable
-/// uncompressed tail.  The logical sequence is the concatenation
-/// `segments[0] ++ segments[1] ++ ... ++ tail`, descending in TRS —
-/// positionally identical to the reference `Vec` layout.
-#[derive(Debug)]
-pub struct SegmentList {
-    segments: Vec<Segment>,
-    tail: Vec<OrderedElement>,
-    config: SegmentConfig,
-    /// Cached sum of segment element counts (the tail adds `tail.len()`).
-    seg_elems: usize,
-}
-
 /// Encodes a TRS-descending chunk into one or more segments, splitting in
 /// half whenever the encoded payload would exceed the configured bound.  A
 /// single element that cannot fit at any granularity surfaces as
@@ -918,320 +869,13 @@ pub(crate) fn encode_segments(
     Ok(out)
 }
 
-/// Re-encodes one rebuilt (post-insert) segment's elements, splitting in
-/// half when the element bound is exceeded so rebuild cost stays bounded as
-/// a list grows through its interior.  Shared by the in-memory segment
-/// layout and the on-disk spill layout so their split policy cannot
-/// diverge.
-pub(crate) fn encode_rebuilt(
-    decoded: &[OrderedElement],
-    config: &SegmentConfig,
-) -> Result<Vec<Segment>, StoreError> {
-    let mut rebuilt = Vec::new();
-    if decoded.len() > config.max_segment_elems {
-        let (lo, hi) = decoded.split_at(decoded.len() / 2);
-        encode_chunk_split(lo, config, &mut rebuilt)?;
-        encode_chunk_split(hi, config, &mut rebuilt)?;
-    } else {
-        encode_chunk_split(decoded, config, &mut rebuilt)?;
-    }
-    Ok(rebuilt)
-}
-
-impl SegmentList {
-    /// Builds the list with an explicit configuration.
-    pub fn with_config(
-        elements: Vec<OrderedElement>,
-        config: SegmentConfig,
-    ) -> Result<Self, StoreError> {
-        let seg_elems = elements.len();
-        let segments = encode_segments(&elements, &config)?;
-        Ok(SegmentList {
-            segments,
-            tail: Vec::new(),
-            config,
-            seg_elems,
-        })
-    }
-
-    /// Current number of sealed segments (tests and size reports).
-    pub fn num_segments(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Current tail length (elements not yet sealed).
-    pub fn tail_len(&self) -> usize {
-        self.tail.len()
-    }
-
-    /// Seals the tail into new segment(s) and compacts the stack.  The tail
-    /// is only cleared once every segment encoded, so a failed seal leaves
-    /// the list untouched.
-    fn seal_tail(&mut self) -> Result<(), StoreError> {
-        if self.tail.is_empty() {
-            return Ok(());
-        }
-        let mut sealed = Vec::new();
-        encode_chunk_split(&self.tail, &self.config, &mut sealed)?;
-        self.seg_elems += self.tail.len();
-        self.segments.extend(sealed);
-        self.tail.clear();
-        self.compact();
-        Ok(())
-    }
-
-    /// Insert-amortized compaction: while the stack is deeper than
-    /// `max_segments`, merge the adjacent pair with the smallest combined
-    /// size (pure block concatenation), as long as the merged segment stays
-    /// under `max_segment_elems` elements and the configured payload bound.
-    fn compact(&mut self) {
-        let byte_bound = self.config.payload_bound();
-        while self.segments.len() > self.config.max_segments {
-            let mut best: Option<(usize, usize)> = None;
-            for i in 0..self.segments.len() - 1 {
-                let combined = self.segments[i].elems + self.segments[i + 1].elems;
-                let combined_bytes =
-                    self.segments[i].payload_len() + self.segments[i + 1].payload_len();
-                if combined <= self.config.max_segment_elems
-                    && combined_bytes <= byte_bound
-                    && best.is_none_or(|(_, c)| combined < c)
-                {
-                    best = Some((i, combined));
-                }
-            }
-            match best {
-                Some((i, _)) => {
-                    let right = self.segments.remove(i + 1);
-                    if let Err(right) = self.segments[i].absorb(right) {
-                        // Unreachable given the byte-bound pre-check, but if
-                        // the merge refuses, reattach and stop compacting.
-                        self.segments.insert(i + 1, right);
-                        break;
-                    }
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Rebuilds segment `k` with `element` inserted at local position
-    /// `local` (interior inserts are rare; the cost is bounded by
-    /// `max_segment_elems`).  Oversized results split — by element count or
-    /// payload bytes — so rebuild cost stays bounded as a list grows through
-    /// its interior.  The stack is only replaced once every piece encoded,
-    /// so a failed rebuild leaves the list untouched.
-    fn rebuild_segment_with(
-        &mut self,
-        k: usize,
-        local: usize,
-        element: OrderedElement,
-    ) -> Result<(), StoreError> {
-        let mut decoded = self.segments[k].decode_all();
-        decoded.insert(local, element);
-        let rebuilt = encode_rebuilt(&decoded, &self.config)?;
-        self.seg_elems += 1;
-        let deepened = rebuilt.len() > 1;
-        self.segments.splice(k..=k, rebuilt);
-        if deepened {
-            // Splits deepen the stack just like tail seals do; compact here
-            // too so an interior-insert-only workload cannot grow the stack
-            // without bound.
-            self.compact();
-        }
-        Ok(())
-    }
-}
-
-impl OrderedList for SegmentList {
-    fn len(&self) -> usize {
-        self.seg_elems + self.tail.len()
-    }
-
-    fn snapshot(&self) -> Result<Vec<OrderedElement>, StoreError> {
-        let mut out = Vec::with_capacity(self.len());
-        for segment in &self.segments {
-            out.extend(segment.decode_all());
-        }
-        out.extend(self.tail.iter().cloned());
-        Ok(out)
-    }
-
-    fn visible_total(&self, accessible: Option<&[GroupId]>, meter: &AtomicU64) -> usize {
-        match accessible {
-            None => self.len(),
-            Some(_) => {
-                // Skip entries answer for the sealed part; only the (small)
-                // tail is examined element by element.
-                meter.fetch_add(u64_of(self.tail.len()), Ordering::Relaxed);
-                let sealed: usize = self
-                    .segments
-                    .iter()
-                    .flat_map(|s| &s.blocks)
-                    .map(|b| b.visible_under(accessible))
-                    .sum();
-                sealed
-                    + self
-                        .tail
-                        .iter()
-                        .filter(|e| is_visible(e, accessible))
-                        .count()
-            }
-        }
-    }
-
-    fn scan(
-        &self,
-        start: usize,
-        skip: usize,
-        count: usize,
-        accessible: Option<&[GroupId]>,
-    ) -> Result<(Vec<OrderedElement>, usize), StoreError> {
-        let total = self.len();
-        let mut elements = Vec::with_capacity(count.min(total.saturating_sub(start)));
-        let mut skipped = 0usize;
-        let mut pos = 0usize;
-        for segment in &self.segments {
-            if pos + segment.elems <= start {
-                pos += segment.elems;
-                continue;
-            }
-            if let Some(next) = segment.scan_part(
-                pos,
-                start,
-                skip,
-                &mut skipped,
-                count,
-                &mut elements,
-                accessible,
-            ) {
-                return Ok((elements, next));
-            }
-            pos += segment.elems;
-        }
-        for (j, element) in self.tail.iter().enumerate() {
-            let idx = self.seg_elems + j;
-            if idx < start || !is_visible(element, accessible) {
-                continue;
-            }
-            if skipped < skip {
-                skipped += 1;
-                continue;
-            }
-            elements.push(element.clone());
-            if elements.len() == count {
-                return Ok((elements, idx + 1));
-            }
-        }
-        Ok((elements, total.max(start)))
-    }
-
-    fn position_after_visible(
-        &self,
-        delivered: usize,
-        accessible: Option<&[GroupId]>,
-    ) -> Result<usize, StoreError> {
-        let mut remaining = delivered;
-        let mut pos = 0usize;
-        for segment in &self.segments {
-            if let Some(found) = segment.position_part(pos, &mut remaining, accessible) {
-                return Ok(found);
-            }
-            pos += segment.elems;
-        }
-        for (j, element) in self.tail.iter().enumerate() {
-            if remaining == 0 {
-                return Ok(self.seg_elems + j);
-            }
-            if is_visible(element, accessible) {
-                remaining -= 1;
-            }
-        }
-        Ok(self.len())
-    }
-
-    fn insert(&mut self, element: OrderedElement) -> Result<usize, StoreError> {
-        if !self.config.element_fits(&element) {
-            return Err(StoreError::SegmentOverflow);
-        }
-        let trs = element.trs;
-        let mut base = 0usize;
-        for k in 0..self.segments.len() {
-            if self.segments[k].min_trs() > trs {
-                // Every element of this segment sorts strictly before the
-                // new one: the partition point is further down.
-                base += self.segments[k].elems;
-                continue;
-            }
-            // The partition point lies inside this segment.
-            let local = self.segments[k].insert_pos(trs);
-            let pos = base + local;
-            self.rebuild_segment_with(k, local, element)?;
-            return Ok(pos);
-        }
-        // Every sealed element sorts strictly before the new one: the tail
-        // absorbs the insert.
-        let local = self.tail.partition_point(|e| e.trs > trs);
-        self.tail.insert(local, element);
-        let pos = base + local;
-        if self.tail.len() > self.config.tail_threshold {
-            if let Err(e) = self.seal_tail() {
-                // A failed seal leaves the tail intact: take the new element
-                // back out so an errored insert never half-applies (the
-                // caller skips the generation bump and cursor shifts).
-                self.tail.remove(local);
-                return Err(e);
-            }
-        }
-        Ok(pos)
-    }
-
-    fn stored_bytes(&self) -> usize {
-        self.segments.iter().map(|s| s.stored_bytes).sum::<usize>()
-            + self
-                .tail
-                .iter()
-                .map(|e| e.sealed.stored_bytes() + TRS_BYTES)
-                .sum::<usize>()
-    }
-
-    fn ciphertext_bytes(&self) -> usize {
-        self.segments
-            .iter()
-            .map(|s| s.ciphertext_bytes)
-            .sum::<usize>()
-            + self
-                .tail
-                .iter()
-                .map(|e| e.sealed.ciphertext.len())
-                .sum::<usize>()
-    }
-
-    fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<SegmentList>()
-            + self
-                .segments
-                .iter()
-                .map(Segment::resident_bytes)
-                .sum::<usize>()
-            + self.tail.capacity() * std::mem::size_of::<OrderedElement>()
-            + self
-                .tail
-                .iter()
-                .map(|e| e.sealed.ciphertext.capacity())
-                .sum::<usize>()
-    }
-
-    fn ordering_ok(&self) -> bool {
-        self.snapshot()
-            .map(|s| s.windows(2).all(|w| w[0].trs >= w[1].trs))
-            .unwrap_or(false)
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicU64;
+
     use super::*;
-    use crate::store::VecList;
+    use crate::spill::SpillList;
+    use crate::store::{OrderedList, VecList};
 
     fn element(trs: f64, group: u32, ct: &[u8]) -> OrderedElement {
         OrderedElement {
@@ -1338,83 +982,116 @@ mod tests {
         assert!(Segment::from_bytes(&trailing).is_err());
     }
 
+    /// The segment-stack list runs at both budget extremes: a budget
+    /// covering the list keeps every slot resident and writes no page (the
+    /// compressed in-memory layout), budget 0 spills every sealed slot to
+    /// the page file.
+    const BUDGETS: [usize; 2] = [usize::MAX, 0];
+
+    fn stack_list(
+        elements: Vec<OrderedElement>,
+        config: SegmentConfig,
+        budget: usize,
+    ) -> Result<SpillList, StoreError> {
+        SpillList::standalone(elements, config, budget)
+    }
+
+    /// Asserts the slot placement each budget implies.
+    fn assert_placement(list: &SpillList, budget: usize) {
+        let expected = if budget == 0 { list.num_slots() } else { 0 };
+        assert_eq!(list.spilled_slots(), expected, "budget {budget}");
+    }
+
     #[test]
     fn segment_list_matches_the_vec_layout_on_scans() {
         let elements = sorted_elements(37);
-        let seg = SegmentList::with_config(elements.clone(), small_config()).unwrap();
-        let vec = VecList::from_elements(elements);
-        assert_eq!(seg.len(), vec.len());
-        assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
-        let meter = AtomicU64::new(0);
-        let groups = [GroupId(0), GroupId(2)];
-        for accessible in [None, Some(&groups[..])] {
-            assert_eq!(
-                seg.visible_total(accessible, &meter),
-                vec.visible_total(accessible, &meter)
-            );
-            for start in [0usize, 3, 17, 36, 37, 40] {
-                for skip in [0usize, 1, 5, 30] {
-                    for count in [1usize, 4, 100] {
-                        assert_eq!(
-                            seg.scan(start, skip, count, accessible).unwrap(),
-                            vec.scan(start, skip, count, accessible).unwrap(),
-                            "start {start} skip {skip} count {count}"
-                        );
+        let vec = VecList::from_elements(elements.clone());
+        for budget in BUDGETS {
+            let seg = stack_list(elements.clone(), small_config(), budget).unwrap();
+            assert_placement(&seg, budget);
+            assert_eq!(seg.len(), vec.len());
+            assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
+            let meter = AtomicU64::new(0);
+            let groups = [GroupId(0), GroupId(2)];
+            for accessible in [None, Some(&groups[..])] {
+                assert_eq!(
+                    seg.visible_total(accessible, &meter),
+                    vec.visible_total(accessible, &meter)
+                );
+                for start in [0usize, 3, 17, 36, 37, 40] {
+                    for skip in [0usize, 1, 5, 30] {
+                        for count in [1usize, 4, 100] {
+                            assert_eq!(
+                                seg.scan(start, skip, count, accessible).unwrap(),
+                                vec.scan(start, skip, count, accessible).unwrap(),
+                                "budget {budget} start {start} skip {skip} count {count}"
+                            );
+                        }
                     }
                 }
-            }
-            for delivered in 0..40 {
-                assert_eq!(
-                    seg.position_after_visible(delivered, accessible).unwrap(),
-                    vec.position_after_visible(delivered, accessible).unwrap()
-                );
+                for delivered in 0..40 {
+                    assert_eq!(
+                        seg.position_after_visible(delivered, accessible).unwrap(),
+                        vec.position_after_visible(delivered, accessible).unwrap()
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn inserts_match_the_vec_layout_and_seal_the_tail() {
-        let mut seg = SegmentList::with_config(sorted_elements(20), small_config()).unwrap();
-        let mut vec = VecList::from_elements(sorted_elements(20));
-        // Tail inserts (below every sealed element), interior inserts and
-        // head inserts, with ties.
-        let probes = [0.001, 0.002, 0.5, 0.925, 1.5, 0.5, 0.0015, 0.85, 0.0];
-        for (i, &trs) in probes.iter().enumerate() {
-            let e = element(trs, (i % 3) as u32, &[i as u8; 6]);
-            assert_eq!(
-                seg.insert(e.clone()).unwrap(),
-                vec.insert(e).unwrap(),
-                "probe {trs}"
-            );
-            assert_eq!(seg.len(), vec.len());
+        for budget in BUDGETS {
+            let mut seg = stack_list(sorted_elements(20), small_config(), budget).unwrap();
+            let mut vec = VecList::from_elements(sorted_elements(20));
+            // Tail inserts (below every sealed element), interior inserts
+            // and head inserts, with ties.
+            let probes = [0.001, 0.002, 0.5, 0.925, 1.5, 0.5, 0.0015, 0.85, 0.0];
+            for (i, &trs) in probes.iter().enumerate() {
+                let e = element(trs, (i % 3) as u32, &[i as u8; 6]);
+                assert_eq!(
+                    seg.insert(e.clone()).unwrap(),
+                    vec.insert(e).unwrap(),
+                    "budget {budget} probe {trs}"
+                );
+                assert_eq!(seg.len(), vec.len());
+            }
+            assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
+            assert!(seg.ordering_ok());
+            assert_placement(&seg, budget);
+            // The tail stayed bounded by the threshold (sealing happened).
+            assert!(seg.tail_len() <= small_config().tail_threshold);
         }
-        assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
-        assert!(seg.ordering_ok());
-        // The tail stayed bounded by the threshold (sealing happened).
-        assert!(seg.tail_len() <= small_config().tail_threshold);
     }
 
     #[test]
     fn compaction_keeps_the_stack_shallow() {
         let config = small_config();
-        let mut seg = SegmentList::with_config(sorted_elements(16), config).unwrap();
-        let mut vec = VecList::from_elements(sorted_elements(16));
-        // A long run of low-TRS inserts seals many tail segments.
-        for i in 0..40 {
-            let trs = 1e-6 * (40 - i) as f64;
-            let e = element(trs, (i % 3) as u32, &[7u8; 4]);
-            assert_eq!(seg.insert(e.clone()).unwrap(), vec.insert(e).unwrap());
+        for budget in BUDGETS {
+            let mut seg = stack_list(sorted_elements(16), config, budget).unwrap();
+            let mut vec = VecList::from_elements(sorted_elements(16));
+            // A long run of low-TRS inserts seals many tail segments.
+            for i in 0..40 {
+                let trs = 1e-6 * (40 - i) as f64;
+                let e = element(trs, (i % 3) as u32, &[7u8; 4]);
+                assert_eq!(seg.insert(e.clone()).unwrap(), vec.insert(e).unwrap());
+            }
+            assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
+            assert_eq!(seg.stored_bytes(), vec.stored_bytes());
+            assert_eq!(seg.ciphertext_bytes(), vec.ciphertext_bytes());
+            assert_placement(&seg, budget);
+            // Spilled slots are never merged, so only the resident stack is
+            // held to a depth.  max_segments is a soft bound there:
+            // compaction merges adjacent pairs as long as the merged segment
+            // respects max_segment_elems.
+            if budget > 0 {
+                assert!(
+                    seg.num_slots() <= config.max_segments + 1,
+                    "stack depth {} after compaction",
+                    seg.num_slots()
+                );
+            }
         }
-        assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
-        // max_segments is a soft bound: compaction merges adjacent pairs as
-        // long as the merged segment respects max_segment_elems.
-        assert!(
-            seg.num_segments() <= config.max_segments + 1,
-            "stack depth {} after compaction",
-            seg.num_segments()
-        );
-        assert_eq!(seg.stored_bytes(), vec.stored_bytes());
-        assert_eq!(seg.ciphertext_bytes(), vec.ciphertext_bytes());
     }
 
     #[test]
@@ -1426,8 +1103,8 @@ mod tests {
         let elements: Vec<OrderedElement> = (0..512)
             .map(|i| element(1.0 - i as f64 / 512.0, (i % 4) as u32, &[3u8; 44]))
             .collect();
-        let seg = SegmentList::with_config(elements.clone(), SegmentConfig::default()).unwrap();
-        let vec = VecList::from_elements(elements);
+        let seg = stack_list(elements.clone(), SegmentConfig::default(), usize::MAX).unwrap();
+        let vec = VecList::from_elements(elements.clone());
         let ratio = seg.resident_bytes() as f64 / vec.resident_bytes() as f64;
         assert!(
             ratio <= 0.75,
@@ -1438,24 +1115,32 @@ mod tests {
         let uniform: Vec<OrderedElement> = (0..512)
             .map(|i| element(1.0 - i as f64 / 512.0, 2, &[3u8; 44]))
             .collect();
-        let useg = SegmentList::with_config(uniform.clone(), SegmentConfig::default()).unwrap();
+        let useg = stack_list(uniform.clone(), SegmentConfig::default(), usize::MAX).unwrap();
         let uvec = VecList::from_elements(uniform);
         let uratio = useg.resident_bytes() as f64 / uvec.resident_bytes() as f64;
         assert!(
             uratio < ratio,
             "group-uniform blocks should beat mixed blocks: {uratio:.3} vs {ratio:.3}"
         );
+        // With budget 0 the compressed payload moves to the page file: only
+        // the slot summaries stay resident.
+        let cold = stack_list(elements, SegmentConfig::default(), 0).unwrap();
+        assert_placement(&cold, 0);
+        assert!(cold.resident_bytes() < seg.resident_bytes());
     }
 
     #[test]
     fn empty_lists_behave() {
-        let mut seg = SegmentList::with_config(Vec::new(), small_config()).unwrap();
-        assert_eq!(seg.len(), 0);
-        assert!(seg.is_empty());
-        assert_eq!(seg.scan(0, 0, 5, None).unwrap(), (Vec::new(), 0));
-        assert_eq!(seg.position_after_visible(0, None).unwrap(), 0);
-        assert_eq!(seg.insert(element(0.5, 0, &[1])).unwrap(), 0);
-        assert_eq!(seg.len(), 1);
+        for budget in BUDGETS {
+            let mut seg = stack_list(Vec::new(), small_config(), budget).unwrap();
+            assert_eq!(seg.len(), 0);
+            assert!(seg.is_empty());
+            assert_eq!(seg.num_slots(), 0);
+            assert_eq!(seg.scan(0, 0, 5, None).unwrap(), (Vec::new(), 0));
+            assert_eq!(seg.position_after_visible(0, None).unwrap(), 0);
+            assert_eq!(seg.insert(element(0.5, 0, &[1])).unwrap(), 0);
+            assert_eq!(seg.len(), 1);
+        }
     }
 
     #[test]
@@ -1475,24 +1160,27 @@ mod tests {
         let elements: Vec<OrderedElement> = (0..24)
             .map(|i| element(1.0 - i as f64 / 24.0, (i % 2) as u32, &[i as u8; 20]))
             .collect();
-        let mut seg = SegmentList::with_config(elements.clone(), config).unwrap();
-        let mut vec = VecList::from_elements(elements);
-        assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
-        // Every segment respects the byte bound, so the stack is forced
-        // deeper than max_segments would otherwise allow.
-        assert!(seg.num_segments() > config.max_segments);
-        // Inserts across the whole range (tail seals and interior rebuilds
-        // both re-encode under the bound).
-        for (i, trs) in [0.99, 0.5, 0.01, 0.5, 0.73].into_iter().enumerate() {
-            let e = element(trs, (i % 2) as u32, &[7u8; 20]);
-            assert_eq!(
-                seg.insert(e.clone()).unwrap(),
-                vec.insert(e).unwrap(),
-                "probe {trs}"
-            );
+        for budget in BUDGETS {
+            let mut seg = stack_list(elements.clone(), config, budget).unwrap();
+            let mut vec = VecList::from_elements(elements.clone());
+            assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
+            // Every segment respects the byte bound, so the stack is forced
+            // deeper than max_segments would otherwise allow.
+            assert!(seg.num_slots() > config.max_segments);
+            // Inserts across the whole range (tail seals and interior
+            // rebuilds both re-encode under the bound).
+            for (i, trs) in [0.99, 0.5, 0.01, 0.5, 0.73].into_iter().enumerate() {
+                let e = element(trs, (i % 2) as u32, &[7u8; 20]);
+                assert_eq!(
+                    seg.insert(e.clone()).unwrap(),
+                    vec.insert(e).unwrap(),
+                    "budget {budget} probe {trs}"
+                );
+            }
+            assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
+            assert!(seg.ordering_ok());
+            assert_placement(&seg, budget);
         }
-        assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
-        assert!(seg.ordering_ok());
     }
 
     #[test]
@@ -1501,23 +1189,25 @@ mod tests {
             max_payload_bytes: 128,
             ..small_config()
         };
-        let mut seg = SegmentList::with_config(sorted_elements(8), config).unwrap();
-        let before = seg.snapshot().unwrap();
-        // One element whose ciphertext alone cannot fit under the bound at
-        // any split granularity: a clean error, list untouched.
         let huge = element(0.5, 0, &[9u8; 256]);
-        assert!(matches!(
-            seg.insert(huge.clone()),
-            Err(StoreError::SegmentOverflow)
-        ));
-        assert_eq!(seg.snapshot().unwrap(), before);
-        // The same element poisons a fresh build the same way.
-        let mut poisoned = sorted_elements(8);
-        poisoned.insert(4, huge);
-        assert!(matches!(
-            SegmentList::with_config(poisoned, config),
-            Err(StoreError::SegmentOverflow)
-        ));
+        for budget in BUDGETS {
+            let mut seg = stack_list(sorted_elements(8), config, budget).unwrap();
+            let before = seg.snapshot().unwrap();
+            // One element whose ciphertext alone cannot fit under the bound
+            // at any split granularity: a clean error, list untouched.
+            assert!(matches!(
+                seg.insert(huge.clone()),
+                Err(StoreError::SegmentOverflow)
+            ));
+            assert_eq!(seg.snapshot().unwrap(), before);
+            // The same element poisons a fresh build the same way.
+            let mut poisoned = sorted_elements(8);
+            poisoned.insert(4, huge.clone());
+            assert!(matches!(
+                stack_list(poisoned, config, budget),
+                Err(StoreError::SegmentOverflow)
+            ));
+        }
     }
 
     /// Re-encodes `bytes` with varint field `index` replaced by `value`

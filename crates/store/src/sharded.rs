@@ -12,11 +12,11 @@
 //! position races.
 //!
 //! [`ShardedCore`] carries all of that machinery once, generic over an
-//! [`OrderedList`]; the two public engines are instantiations:
+//! [`OrderedList`]; the engines are instantiations:
 //!
 //! * [`ShardedStore`] — the reference `Vec<OrderedElement>` layout,
-//! * [`SegmentStore`] — the compressed segment layout of
-//!   [`crate::segment`].
+//! * [`crate::SpillStore`] — the compressed segment-stack layout of
+//!   [`crate::spill`], resident or paged per segment.
 //!
 //! Because the session, generation and locking logic is shared, the engines
 //! answer element-for-element identically by construction; only the physical
@@ -32,7 +32,6 @@ use zerber_r::{OrderedElement, OrderedIndex};
 
 use crate::error::StoreError;
 use crate::lockrank::{self, LockClass};
-use crate::segment::{SegmentConfig, SegmentList};
 use crate::store::{
     CursorId, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch, SessionStats,
     ShardBucketOutput, ShardJobBucket, ShardJobPlan, StoreJob, VecList,
@@ -55,10 +54,6 @@ pub struct ShardedCore<L: OrderedList> {
 
 /// The sharded store over the reference `Vec<OrderedElement>` layout.
 pub type ShardedStore = ShardedCore<VecList>;
-
-/// The sharded store over the compressed segment layout: immutable
-/// block-encoded segments with per-block skip entries plus a mutable tail.
-pub type SegmentStore = ShardedCore<SegmentList>;
 
 /// A ranked shard read guard: the lock rank is registered *before* blocking
 /// on the lock and released after the guard drops (field order: the lock
@@ -273,33 +268,6 @@ impl ShardedStore {
         // analyze::allow(panic): build only fails when the builder closure
         // does, and this closure always returns Ok
         .expect("the Vec layout builds infallibly")
-    }
-}
-
-impl SegmentStore {
-    /// Builds a compressed-segment store with a machine-matched shard count.
-    pub fn new(index: OrderedIndex) -> Result<Self, StoreError> {
-        Self::with_shards(index, default_shards())
-    }
-
-    /// Builds a compressed-segment store across exactly `num_shards` shards
-    /// with the default segment layout.
-    pub fn with_shards(index: OrderedIndex, num_shards: usize) -> Result<Self, StoreError> {
-        Self::with_config(index, num_shards, SegmentConfig::default())
-    }
-
-    /// Builds a compressed-segment store with explicit layout tuning (block
-    /// length, tail threshold, compaction and payload bounds).  Fails with
-    /// [`StoreError::SegmentOverflow`] only if a single element cannot be
-    /// encoded under the payload bound.
-    pub fn with_config(
-        index: OrderedIndex,
-        num_shards: usize,
-        config: SegmentConfig,
-    ) -> Result<Self, StoreError> {
-        Self::build(index, num_shards, move |_, list| {
-            SegmentList::with_config(list, config)
-        })
     }
 }
 

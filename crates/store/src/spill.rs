@@ -5,7 +5,7 @@
 //! millions of users — a footprint that does not fit in RAM.  Like the
 //! ontological-database systems that answer from a small hot working set
 //! while the bulk of the extensional data lives on secondary storage, the
-//! [`SpillStore`] keeps each merged list as a `SegmentStore`-style stack
+//! [`SpillStore`] keeps each merged list as a stack of compressed segments
 //! ([`crate::segment`]) whose **cold sealed segments** are serialized
 //! through the validated segment wire format ([`Segment::to_bytes`]) into a
 //! per-shard page file and dropped from memory.  What stays resident per
@@ -20,7 +20,9 @@
 //! ([`SpillConfig::page_cache_pages`]).  [`SpillConfig::resident_budget_bytes`]
 //! bounds the sealed bytes each shard keeps resident: segments charge the
 //! budget greedily in build order (within a list, hot end first) and spill
-//! once it is exhausted.
+//! once it is exhausted.  A budget covering the whole index
+//! (`usize::MAX`) is the compressed in-memory layout: every slot stays
+//! resident and no page is ever written.
 //! `ListStore::execute_shard_batch` groups a round's ranged jobs by list
 //! (and cursor resumptions by session) before serving them, so a batch of
 //! fresh fetches faults each page at most once per round.
@@ -78,7 +80,7 @@ use crate::durable::{
     RealIo, StoreMeta, SyncPolicy,
 };
 use crate::error::StoreError;
-use crate::segment::{encode_chunk_split, encode_rebuilt, encode_segments, Segment, SegmentConfig};
+use crate::segment::{encode_chunk_split, encode_segments, Segment, SegmentConfig};
 use crate::sharded::{default_shards, ShardedCore, MAX_SHARDS};
 use crate::store::{
     is_visible, CursorId, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch,
@@ -752,31 +754,48 @@ impl SlotMeta {
     }
 }
 
-/// A decoded segment held in memory, with its budget charge.
+/// Where one sealed segment lives.  An ephemeral slot is either resident
+/// or paged; a durable resident slot may also keep its checkpoint page —
+/// promotion keeps it (still byte-identical to the segment), and a resident
+/// slot without one gets it materialized at the next checkpoint.
 #[derive(Debug)]
-struct ResidentSeg {
-    segment: Segment,
-    charged: usize,
+enum Tier {
+    /// Decoded in memory, `charged` against the shard's resident budget.
+    Resident {
+        segment: Segment,
+        charged: usize,
+        page: Option<PageId>,
+    },
+    /// Only in the shard's page file.
+    Paged(PageId),
 }
 
-/// One sealed segment of a list.  Residency and on-disk presence are
-/// independent: an ephemeral slot is either resident or paged; a durable
-/// slot can be both — promotion keeps the page (it is checkpoint state,
-/// still byte-identical to the segment), and a resident slot without a page
-/// gets one materialized at the next checkpoint.  At least one of the two
-/// is always present.
+/// One sealed segment of a list: its resident summary and its tier.
 #[derive(Debug)]
 struct Slot {
     meta: SlotMeta,
-    /// Hot copy, charged against the shard's resident budget.
-    resident: Option<ResidentSeg>,
-    /// Location of the sealed page in the shard's page file.
-    page: Option<PageId>,
+    tier: Tier,
 }
 
 impl Slot {
     fn is_resident(&self) -> bool {
-        self.resident.is_some()
+        matches!(self.tier, Tier::Resident { .. })
+    }
+
+    /// Location of the slot's page in the shard's page file, if it has one.
+    fn page(&self) -> Option<PageId> {
+        match self.tier {
+            Tier::Resident { page, .. } => page,
+            Tier::Paged(page) => Some(page),
+        }
+    }
+
+    /// The slot's charge against the shard's resident budget.
+    fn charged(&self) -> usize {
+        match self.tier {
+            Tier::Resident { charged, .. } => charged,
+            Tier::Paged(_) => 0,
+        }
     }
 }
 
@@ -797,9 +816,11 @@ impl std::ops::Deref for SegRef<'_> {
     }
 }
 
-/// A merged list whose cold sealed segments live in the shard's page file.
-/// Logically identical to [`crate::segment::SegmentList`]: the sequence is
-/// `slots[0] ++ slots[1] ++ ... ++ tail`, descending in TRS.
+/// A merged list stored as a stack of compressed segments plus a mutable
+/// uncompressed tail.  The logical sequence is the concatenation
+/// `slots[0] ++ slots[1] ++ ... ++ tail`, descending in TRS — positionally
+/// identical to the reference `Vec` layout.  Each sealed slot is resident
+/// or paged out to the shard's page file, as the shard budget allows.
 #[derive(Debug)]
 pub struct SpillList {
     slots: Vec<Slot>,
@@ -831,7 +852,7 @@ impl SpillList {
         // partial budget favours lists built earlier.  Access-driven
         // placement across lists is a ROADMAP item (spill-aware
         // demotion/promotion).
-        let slots = list.place_segments(segments)?;
+        let slots = list.place_segments(segments, true)?;
         list.slots = slots;
         Ok(list)
     }
@@ -846,14 +867,18 @@ impl SpillList {
         self.slots.len()
     }
 
-    /// Places freshly encoded segments: resident while the shard budget
-    /// covers them, spilled otherwise.  On any failure the pages written so
-    /// far are released, leaving the accounting consistent and the list
-    /// untouched.
-    fn place_segments(&self, segments: Vec<Segment>) -> Result<Vec<Slot>, StoreError> {
+    /// Places freshly encoded segments: resident while `may_reside` holds
+    /// and the shard budget covers them, spilled otherwise.  On any failure
+    /// the pages written so far are released, leaving the accounting
+    /// consistent and the list untouched.
+    fn place_segments(
+        &self,
+        segments: Vec<Segment>,
+        may_reside: bool,
+    ) -> Result<Vec<Slot>, StoreError> {
         let mut slots = Vec::with_capacity(segments.len());
         for segment in segments {
-            match self.place(segment) {
+            match self.place(segment, may_reside) {
                 Ok(slot) => slots.push(slot),
                 Err(e) => {
                     for slot in slots {
@@ -866,38 +891,35 @@ impl SpillList {
         Ok(slots)
     }
 
-    fn place(&self, segment: Segment) -> Result<Slot, StoreError> {
+    fn place(&self, segment: Segment, may_reside: bool) -> Result<Slot, StoreError> {
         let meta = SlotMeta::of(&segment);
         // Charge exactly the slot's metered resident cost: the budget
         // invariant (`resident_charge` == Σ charged == Σ exact resident
         // bytes) holds by construction on every placement path.
         let charge = meta.resident_cost;
-        if self.pager.try_charge(charge) {
+        if may_reside && self.pager.try_charge(charge) {
             // A durable resident slot has no page yet; the next checkpoint
             // materializes it.  The WAL covers the window in between.
             Ok(Slot {
                 meta,
-                resident: Some(ResidentSeg {
+                tier: Tier::Resident {
                     segment,
                     charged: charge,
-                }),
-                page: None,
+                    page: None,
+                },
             })
         } else {
             let page = self.pager.write_page(&segment)?;
             Ok(Slot {
                 meta,
-                resident: None,
-                page: Some(page),
+                tier: Tier::Paged(page),
             })
         }
     }
 
     fn release_slot(&self, slot: &Slot) {
-        if let Some(resident) = &slot.resident {
-            self.pager.uncharge(resident.charged);
-        }
-        if let Some(page) = slot.page {
+        self.pager.uncharge(slot.charged());
+        if let Some(page) = slot.page() {
             self.pager.release_page(page);
         }
     }
@@ -912,10 +934,9 @@ impl SpillList {
         slot.meta
             .last_access
             .store(self.pager.touch_tick(), Ordering::Relaxed);
-        match (&slot.resident, slot.page) {
-            (Some(resident), _) => Ok(SegRef::Resident(&resident.segment)),
-            (None, Some(page)) => Ok(SegRef::Paged(self.pager.fetch(page)?)),
-            (None, None) => Err(StoreError::Invariant("a slot is resident or paged")),
+        match &slot.tier {
+            Tier::Resident { segment, .. } => Ok(SegRef::Resident(segment)),
+            Tier::Paged(page) => Ok(SegRef::Paged(self.pager.fetch(*page)?)),
         }
     }
 
@@ -928,107 +949,82 @@ impl SpillList {
         }
         let mut sealed = Vec::new();
         encode_chunk_split(&self.tail, &self.config, &mut sealed)?;
-        let slots = self.place_segments(sealed)?;
+        let slots = self.place_segments(sealed, true)?;
         self.seg_elems += self.tail.len();
         self.slots.extend(slots);
         self.tail.clear();
-        self.compact()?;
+        self.compact();
         Ok(())
     }
 
     /// Insert-amortized compaction over **resident** adjacent pairs only —
     /// spilled segments are immutable cold storage and merging them would
-    /// mean paying page faults on the write path.  A stack held deep by
-    /// spilled slots is tolerated; background page-file compaction owns
-    /// that (ROADMAP).
-    fn compact(&mut self) -> Result<(), StoreError> {
+    /// mean paying page faults on the write path.  While the stack is deeper
+    /// than `max_segments`, the pair with the smallest combined size is
+    /// concatenated (no re-encode), as long as the merged segment stays
+    /// under `max_segment_elems` elements and the payload bound.  A stack
+    /// held deep by spilled slots is tolerated; page-file compaction owns
+    /// that.  Compaction only ever stops early, so it cannot fail.
+    fn compact(&mut self) {
         let byte_bound = self.config.payload_bound();
         while self.slots.len() > self.config.max_segments {
-            let mut best: Option<(usize, usize)> = None;
-            for i in 0..self.slots.len() - 1 {
-                let (Some(a), Some(b)) = (&self.slots[i].resident, &self.slots[i + 1].resident)
-                else {
-                    continue;
-                };
-                let combined = self.slots[i].meta.elems + self.slots[i + 1].meta.elems;
-                if combined <= self.config.max_segment_elems
-                    && a.segment.payload_len() + b.segment.payload_len() <= byte_bound
-                    && best.is_none_or(|(_, c)| combined < c)
-                {
-                    best = Some((i, combined));
-                }
-            }
-            let Some((i, _)) = best else { break };
-            let right = self.slots.remove(i + 1);
-            let left = self.slots.remove(i);
-            let (Some(left_res), Some(right_res)) = (left.resident, right.resident) else {
-                return Err(StoreError::Invariant(
-                    "compaction only selects resident pairs",
-                ));
+            // Only a resident pair binds the pattern, so the merge reads
+            // both segments from memory.
+            let best = self
+                .slots
+                .windows(2)
+                .enumerate()
+                .filter_map(|(i, pair)| match pair {
+                    [Slot {
+                        tier: Tier::Resident { segment: a, .. },
+                        ..
+                    }, Slot {
+                        tier: Tier::Resident { segment: b, .. },
+                        ..
+                    }] => {
+                        let combined = a.num_elements() + b.num_elements();
+                        (combined <= self.config.max_segment_elems
+                            && a.payload_len() + b.payload_len() <= byte_bound)
+                            .then_some((combined, i, a, b))
+                    }
+                    _ => None,
+                })
+                .min_by_key(|&(combined, ..)| combined);
+            let Some((_, i, left, right)) = best else {
+                break;
             };
-            let mut merged = left_res.segment;
-            match merged.absorb(right_res.segment) {
-                Ok(()) => {
-                    self.pager.uncharge(left_res.charged + right_res.charged);
-                    // The merged segment supersedes both slots' checkpoint
-                    // pages (if any): release them, the next checkpoint
-                    // writes the merged page.
-                    for page in [left.page, right.page].into_iter().flatten() {
-                        self.pager.release_page(page);
-                    }
-                    let meta = SlotMeta::of(&merged);
-                    // The merged segment stays resident: compaction must not
-                    // turn a hot pair cold.  If the budget cannot cover the
-                    // (small) delta, charge it anyway; tail seals will spill
-                    // against the deficit, and the next retier pass settles
-                    // it.  The charge is still the exact resident cost, so
-                    // the budget invariant never drifts.
-                    let charge = meta.resident_cost;
-                    if !self.pager.try_charge(charge) {
-                        self.pager.force_charge(charge);
-                    }
-                    self.slots.insert(
-                        i,
-                        Slot {
-                            meta,
-                            resident: Some(ResidentSeg {
-                                segment: merged,
-                                charged: charge,
-                            }),
-                            page: None,
-                        },
-                    );
-                }
-                Err(right_seg) => {
-                    // Unreachable given the byte-bound pre-check; reattach
-                    // both and stop compacting.
-                    self.slots.insert(
-                        i,
-                        Slot {
-                            meta: SlotMeta::of(&right_seg),
-                            resident: Some(ResidentSeg {
-                                segment: right_seg,
-                                charged: right_res.charged,
-                            }),
-                            page: right.page,
-                        },
-                    );
-                    self.slots.insert(
-                        i,
-                        Slot {
-                            meta: SlotMeta::of(&merged),
-                            resident: Some(ResidentSeg {
-                                segment: merged,
-                                charged: left_res.charged,
-                            }),
-                            page: left.page,
-                        },
-                    );
-                    break;
-                }
+            let Ok(merged) = left.concat(right) else {
+                break;
+            };
+            // The merged segment supersedes both slots: release their
+            // charges and checkpoint pages (if any); the next checkpoint
+            // writes the merged page.
+            let old: Vec<Slot> = self.slots.drain(i..=i + 1).collect();
+            for slot in &old {
+                self.release_slot(slot);
             }
+            let meta = SlotMeta::of(&merged);
+            // The merged segment stays resident: compaction must not turn a
+            // hot pair cold.  If the budget cannot cover the (small) delta,
+            // charge it anyway; tail seals will spill against the deficit,
+            // and the next retier pass settles it.  The charge is still the
+            // exact resident cost, so the budget invariant never drifts.
+            let charge = meta.resident_cost;
+            if !self.pager.try_charge(charge) {
+                self.pager.force_charge(charge);
+            }
+            self.slots.insert(
+                i,
+                Slot {
+                    meta,
+                    tier: Tier::Resident {
+                        segment: merged,
+                        charged: charge,
+                        page: None,
+                    },
+                },
+            );
         }
-        Ok(())
     }
 
     /// Rebuilds slot `k` as `decoded` (already containing the inserted
@@ -1036,47 +1032,28 @@ impl SpillList {
     /// placed; a spilled slot's rebuild appends fresh pages and strands the
     /// old page as file garbage.
     fn rebuild_slot(&mut self, k: usize, decoded: Vec<OrderedElement>) -> Result<(), StoreError> {
-        let rebuilt = encode_rebuilt(&decoded, &self.config)?;
+        // Past the element bound the rebuild splits in half, so rebuild cost
+        // stays bounded as a list grows through its interior.
+        let mid = if decoded.len() > self.config.max_segment_elems {
+            decoded.len() / 2
+        } else {
+            decoded.len()
+        };
+        let (lo, hi) = decoded.split_at(mid);
+        let mut rebuilt = Vec::new();
+        for half in [lo, hi] {
+            encode_chunk_split(half, &self.config, &mut rebuilt)?;
+        }
         let was_cold = !self.slots[k].is_resident();
         // Free the old slot's budget charge up front so the rebuilt
         // segments compete for the bytes the slot itself was holding —
         // otherwise a near-full budget would demote a hot resident head to
         // disk on every interior insert.  Restored if placement fails.
-        let old_charge = self.slots[k]
-            .resident
-            .as_ref()
-            .map_or(0, |resident| resident.charged);
+        let old_charge = self.slots[k].charged();
         self.pager.uncharge(old_charge);
-        let placed = if was_cold {
-            // Stay cold: the segment was not worth resident bytes before the
-            // insert and one insert does not make it hot.
-            let mut slots = Vec::with_capacity(rebuilt.len());
-            let mut failure = None;
-            for segment in rebuilt {
-                let meta = SlotMeta::of(&segment);
-                match self.pager.write_page(&segment) {
-                    Ok(page) => slots.push(Slot {
-                        meta,
-                        resident: None,
-                        page: Some(page),
-                    }),
-                    Err(e) => {
-                        for slot in slots.drain(..) {
-                            self.release_slot(&slot);
-                        }
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            match failure {
-                None => Ok(slots),
-                Some(e) => Err(e),
-            }
-        } else {
-            self.place_segments(rebuilt)
-        };
-        let new_slots = match placed {
+        // A cold slot stays cold: the segment was not worth resident bytes
+        // before the insert and one insert does not make it hot.
+        let new_slots = match self.place_segments(rebuilt, !was_cold) {
             Ok(slots) => slots,
             Err(e) => {
                 self.pager.force_charge(old_charge);
@@ -1095,13 +1072,11 @@ impl SpillList {
         for slot in old {
             // The budget charge was already released above; only the
             // superseded page (now file garbage) remains to account for.
-            if let Some(page) = slot.page {
+            if let Some(page) = slot.page() {
                 self.pager.release_page(page);
             }
         }
-        if self.slots.len() > self.config.max_segments {
-            self.compact()?;
-        }
+        self.compact();
         Ok(())
     }
 
@@ -1109,11 +1084,7 @@ impl SpillList {
     /// compaction snapshot).  In durable mode this includes the checkpoint
     /// pages of resident slots.
     fn live_pages(&self, out: &mut Vec<PageId>) {
-        for slot in &self.slots {
-            if let Some(page) = slot.page {
-                out.push(page);
-            }
-        }
+        out.extend(self.slots.iter().filter_map(Slot::page));
     }
 
     /// Rewrites every paged slot's page location through the compaction
@@ -1121,7 +1092,11 @@ impl SpillList {
     /// the straggler pass under the same lock guarantees coverage.
     fn remap_pages(&mut self, map: &HashMap<u64, PageId>) -> Result<(), StoreError> {
         for slot in &mut self.slots {
-            if let Some(page) = &mut slot.page {
+            if let Tier::Resident {
+                page: Some(page), ..
+            }
+            | Tier::Paged(page) = &mut slot.tier
+            {
                 *page = *map.get(&page.offset).ok_or(StoreError::Invariant(
                     "compaction copied every live page before the swap",
                 ))?;
@@ -1133,16 +1108,21 @@ impl SpillList {
     /// Ensures slot `k` has an on-disk page (checkpoint materialization for
     /// resident slots placed since the last checkpoint), returning it.
     fn ensure_page(&mut self, k: usize) -> Result<PageId, StoreError> {
-        if let Some(page) = self.slots[k].page {
-            return Ok(page);
+        match &mut self.slots[k].tier {
+            Tier::Resident {
+                segment,
+                page: page @ None,
+                ..
+            } => {
+                let written = self.pager.write_page(segment)?;
+                *page = Some(written);
+                Ok(written)
+            }
+            Tier::Resident {
+                page: Some(page), ..
+            }
+            | Tier::Paged(page) => Ok(*page),
         }
-        let resident = self.slots[k]
-            .resident
-            .as_ref()
-            .ok_or(StoreError::Invariant("a pageless slot is resident"))?;
-        let page = self.pager.write_page(&resident.segment)?;
-        self.slots[k].page = Some(page);
-        Ok(page)
     }
 
     /// Checkpoint view of this list: every sealed slot's page (materialized
@@ -1177,16 +1157,17 @@ impl SpillList {
             let meta = SlotMeta::of(&segment);
             seg_elems += meta.elems;
             let charge = meta.resident_cost;
-            let resident = pager.try_charge(charge).then_some(ResidentSeg {
-                segment,
-                charged: charge,
-            });
+            let tier = if pager.try_charge(charge) {
+                Tier::Resident {
+                    segment,
+                    charged: charge,
+                    page: Some(page),
+                }
+            } else {
+                Tier::Paged(page)
+            };
             pager.note_live_page(len);
-            slots.push(Slot {
-                meta,
-                resident,
-                page: Some(page),
-            });
+            slots.push(Slot { meta, tier });
         }
         let recovered = u64_of(manifest.pages.len());
         let list = SpillList {
@@ -1202,9 +1183,9 @@ impl SpillList {
     /// Appends the list's sealed slots as retier candidates onto `out`.
     fn tier_candidates(&self, list: usize, out: &mut Vec<TierSlot>) {
         for (k, slot) in self.slots.iter().enumerate() {
-            let (resident, cost) = match &slot.resident {
-                Some(res) => (true, res.charged),
-                None => (false, slot.meta.resident_cost),
+            let (resident, cost) = match slot.tier {
+                Tier::Resident { charged, .. } => (true, charged),
+                Tier::Paged(_) => (false, slot.meta.resident_cost),
             };
             out.push(TierSlot {
                 list,
@@ -1222,22 +1203,21 @@ impl SpillList {
     /// page skips the write — the page is already byte-identical.  On write
     /// failure the slot stays resident.
     fn demote_slot(&mut self, k: usize) -> Result<(), StoreError> {
-        if !self.slots[k].is_resident() {
+        let Tier::Resident {
+            segment,
+            charged,
+            page,
+        } = &self.slots[k].tier
+        else {
             return Ok(());
-        }
-        if self.slots[k].page.is_none() {
-            let resident = self.slots[k]
-                .resident
-                .as_ref()
-                .ok_or(StoreError::Invariant("demotion checked the slot resident"))?;
-            let page = self.pager.write_page(&resident.segment)?;
-            self.slots[k].page = Some(page);
-        }
-        let resident = self.slots[k]
-            .resident
-            .take()
-            .ok_or(StoreError::Invariant("demotion checked the slot resident"))?;
-        self.pager.uncharge(resident.charged);
+        };
+        let charged = *charged;
+        let page = match page {
+            Some(page) => *page,
+            None => self.pager.write_page(segment)?,
+        };
+        self.slots[k].tier = Tier::Paged(page);
+        self.pager.uncharge(charged);
         self.pager.demotions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -1248,12 +1228,9 @@ impl SpillList {
     /// mode keeps it — the page is checkpoint state and still matches the
     /// segment byte for byte.
     fn promote_slot(&mut self, k: usize) -> Result<bool, StoreError> {
-        if self.slots[k].is_resident() {
+        let Tier::Paged(page) = self.slots[k].tier else {
             return Ok(false);
-        }
-        let page = self.slots[k]
-            .page
-            .ok_or(StoreError::Invariant("a cold slot has a page"))?;
+        };
         let segment = self.pager.read_page_uncached(page)?;
         // The decoded capacities can differ from the cost metered at the
         // pre-spill encode: re-meter so the charge stays exact.
@@ -1261,38 +1238,67 @@ impl SpillList {
         if !self.pager.try_charge(charge) {
             return Ok(false);
         }
-        if !self.pager.durable {
+        let page = if self.pager.durable {
+            Some(page)
+        } else {
             self.pager.release_page(page);
-            self.slots[k].page = None;
-        }
+            None
+        };
         self.slots[k].meta.resident_cost = charge;
-        self.slots[k].resident = Some(ResidentSeg {
+        self.slots[k].tier = Tier::Resident {
             segment,
             charged: charge,
-        });
+            page,
+        };
         self.pager.promotions.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
 
     /// Sum of the budget charges of the list's resident slots.
     fn charged_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .filter_map(|slot| slot.resident.as_ref().map(|res| res.charged))
-            .sum()
+        self.slots.iter().map(Slot::charged).sum()
     }
 
     /// Whether every resident slot's charge equals both its segment's exact
     /// resident bytes and its metered `resident_cost` (the per-slot half of
     /// the budget invariant).
     fn charges_exact(&self) -> bool {
-        self.slots.iter().all(|slot| match &slot.resident {
-            Some(res) => {
-                res.charged == res.segment.resident_bytes()
-                    && res.charged == slot.meta.resident_cost
-            }
-            None => true,
+        self.slots.iter().all(|slot| match &slot.tier {
+            Tier::Resident {
+                segment, charged, ..
+            } => *charged == segment.resident_bytes() && *charged == slot.meta.resident_cost,
+            Tier::Paged(_) => true,
         })
+    }
+}
+
+#[cfg(test)]
+impl SpillList {
+    /// A standalone list over a private one-shard pager in a fresh temp
+    /// directory (removed on drop) with `resident_budget_bytes` of budget:
+    /// the fixture the layout unit tests run at both budget extremes.
+    pub(crate) fn standalone(
+        elements: Vec<OrderedElement>,
+        config: SegmentConfig,
+        resident_budget_bytes: usize,
+    ) -> Result<Self, StoreError> {
+        let dir = unique_temp_dir();
+        fs::create_dir_all(&dir).map_err(io_err)?;
+        let root = Arc::new(SpillRoot {
+            dir: dir.clone(),
+            ephemeral: true,
+        });
+        let spill = SpillConfig {
+            resident_budget_bytes,
+            ..SpillConfig::default().without_tiering()
+        };
+        let pager = Pager::create(RealIo::shared(), &dir, 0, &spill, root, false, 0, 0)?;
+        SpillList::build(elements, config, pager)
+    }
+
+    /// Current tail length (elements not yet sealed).
+    pub(crate) fn tail_len(&self) -> usize {
+        self.tail.len()
     }
 }
 
@@ -1514,9 +1520,10 @@ impl OrderedList for SpillList {
                 .map(|s| {
                     std::mem::size_of::<Slot>()
                         + s.meta.counts.capacity() * std::mem::size_of::<(GroupId, u32)>()
-                        + s.resident
-                            .as_ref()
-                            .map_or(0, |res| res.segment.resident_bytes())
+                        + match &s.tier {
+                            Tier::Resident { segment, .. } => segment.resident_bytes(),
+                            Tier::Paged(_) => 0,
+                        }
                 })
                 .sum::<usize>()
             + self.tail.capacity() * std::mem::size_of::<OrderedElement>()
@@ -1711,7 +1718,8 @@ impl DurableState {
     }
 }
 
-/// The fourth storage engine: sharded spill-to-disk segment storage.
+/// The segment-stack storage engine: sharded compressed segments, resident
+/// while the budget lasts and spilled to disk beyond it.
 ///
 /// Built on the same [`ShardedCore`] concurrency machinery (and therefore
 /// the same cursor-session, generation and eviction behaviour) as the other

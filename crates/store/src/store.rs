@@ -10,9 +10,9 @@
 //! [`crate::SingleMutexStore`]) and the physical layout: the concurrency
 //! machinery in this module is generic over an [`OrderedList`] — the
 //! per-list physical representation — so the plain `Vec` layout
-//! ([`VecList`]) and the compressed segment layout
-//! ([`crate::segment::SegmentList`]) share one cursor-session, generation
-//! and locking implementation and cannot diverge behaviourally.
+//! ([`VecList`]) and the compressed segment-stack layout
+//! ([`crate::spill::SpillList`]) share one cursor-session, generation and
+//! locking implementation and cannot diverge behaviourally.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -279,8 +279,8 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
 
     /// Bytes of index state spilled to secondary storage (0 for the
     /// in-memory engines).  For the spill engine,
-    /// `spilled_bytes + resident_bytes` approximates the in-memory segment
-    /// engine's resident footprint: the same encoded pages, just cold ones
+    /// `spilled_bytes + resident_bytes` approximates its resident footprint
+    /// under a covering budget: the same encoded pages, just cold ones
     /// living on disk.
     fn spilled_bytes(&self) -> usize {
         0

@@ -154,7 +154,7 @@ impl TestBed {
     /// Builds an index server over a copy of the ordered index, partitioned
     /// across `num_shards` storage shards, with `num_users` registered
     /// all-group users (`user-0`, ...).  Used by the concurrency tests and
-    /// the server-throughput benchmarks.
+    /// the serving benchmarks.
     pub fn build_server(&self, num_shards: usize, num_users: usize) -> IndexServer {
         IndexServer::with_store(
             Box::new(ShardedStore::with_shards(self.index.clone(), num_shards)),
@@ -166,12 +166,6 @@ impl TestBed {
     /// architecture) over a copy of the ordered index.
     pub fn build_single_mutex_server(&self, num_users: usize) -> IndexServer {
         IndexServer::single_mutex(self.index.clone(), self.server_acl(num_users))
-    }
-
-    /// Builds a server over the compressed segment engine, partitioned
-    /// across `num_shards` shards.
-    pub fn build_segment_server(&self, num_shards: usize, num_users: usize) -> IndexServer {
-        self.build_engine_server(StoreEngine::Segment, num_shards, num_users)
     }
 
     /// Builds a server over the on-disk spill engine (page files in a fresh
@@ -349,13 +343,23 @@ mod tests {
         // Both engines ship identical element counts for the same workload.
         assert_eq!(a.elements_sent, b.elements_sent);
         assert_eq!(sharded.open_cursors(), 0);
-        // The compressed segment engine serves the same workload with the
-        // same element counts from a smaller resident footprint.
-        let segmented = bed.build_segment_server(4, 2);
+        // The compressed segment layout (a spill store whose budget covers
+        // the index) serves the same workload with the same element counts
+        // from a smaller resident footprint, writing no page.
+        let segmented = bed.build_tuned_spill_server(
+            4,
+            2,
+            zerber_store::SpillConfig {
+                resident_budget_bytes: usize::MAX,
+                ..zerber_store::SpillConfig::default().without_tiering()
+            },
+            zerber_store::SegmentConfig::default(),
+        );
         assert_eq!(segmented.num_elements(), bed.index.num_elements());
         let c = zerber_protocol::drive_raw_queries(&segmented, &users, &lists, &config).unwrap();
         assert_eq!(a.elements_sent, c.elements_sent);
         assert!(segmented.store().resident_bytes() < sharded.store().resident_bytes());
+        assert_eq!(segmented.store().spilled_bytes(), 0);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use zerber_suite::protocol::{
     drive_pipelined_queries, drive_raw_queries, AccessControl, AuthToken, Client, IndexServer,
     LoadConfig, PipelineConfig, QueryRequest, StoreEngine, WireElement,
 };
+use zerber_suite::store::{SegmentConfig, SpillConfig};
 use zerber_suite::workload::{TestBed, TestBedConfig};
 use zerber_suite::zerber::MergedListId;
 use zerber_suite::zerber_r::RetrievalConfig;
@@ -131,13 +132,27 @@ fn pipelined_driver_matches_the_raw_driver_on_every_engine() {
         all.truncate(8);
         all
     };
-    for engine in [
+    let engine_servers = [
         StoreEngine::Sharded,
         StoreEngine::SingleMutex,
-        StoreEngine::Segment,
         StoreEngine::Spill,
-    ] {
-        let server = bed.build_engine_server(engine, 4, 4);
+    ]
+    .map(|engine| (format!("{engine:?}"), bed.build_engine_server(engine, 4, 4)));
+    // The compressed in-memory layout: a spill store whose budget covers
+    // the whole index.
+    let resident = (
+        "all-resident spill".to_string(),
+        bed.build_tuned_spill_server(
+            4,
+            4,
+            SpillConfig {
+                resident_budget_bytes: usize::MAX,
+                ..SpillConfig::default().without_tiering()
+            },
+            SegmentConfig::default(),
+        ),
+    );
+    for (engine, server) in engine_servers.into_iter().chain([resident]) {
         let raw = drive_raw_queries(
             &server,
             &users,
@@ -161,12 +176,12 @@ fn pipelined_driver_matches_the_raw_driver_on_every_engine() {
         };
         let piped =
             drive_pipelined_queries(&server, &users, &lists, &config).expect("piped run succeeds");
-        assert_eq!(piped.queries, 120, "engine {engine:?}");
+        assert_eq!(piped.queries, 120, "engine {engine}");
         // Same workload shape => identical elements shipped per query.
         let piped_elements_per_query = piped.elements_sent as f64 / piped.queries as f64;
         assert!(
             (piped_elements_per_query - raw_elements_per_query).abs() < 1e-9,
-            "engine {engine:?}: {piped_elements_per_query} vs {raw_elements_per_query}"
+            "engine {engine}: {piped_elements_per_query} vs {raw_elements_per_query}"
         );
         let stats = server.stats();
         assert_eq!(stats.requests_served, 120);
@@ -175,7 +190,7 @@ fn pipelined_driver_matches_the_raw_driver_on_every_engine() {
         // checks than one per request.
         assert!(
             stats.lock_acquisitions < stats.requests_served,
-            "engine {engine:?}: {} locks for {} requests",
+            "engine {engine}: {} locks for {} requests",
             stats.lock_acquisitions,
             stats.requests_served
         );

@@ -1,25 +1,26 @@
 //! Cross-engine equivalence property test: random interleavings of
 //! position-preserving inserts, ranged queries and cursor sessions must be
 //! answered element-for-element identically by every storage engine —
-//! `SingleMutexStore`, `ShardedStore` (plain `Vec` layout), `SegmentStore`
-//! (compressed block-encoded segments with a mutable tail) and `SpillStore`
-//! (the same segments with cold ones living in on-disk page files behind an
-//! LRU page cache) — the latter statically placed, tiering-tuned (with
-//! maintenance — promotion, demotion, page-file compaction — forced on
-//! every operation) and durable (write-ahead logging plus aggressive
-//! checkpointing live during the workload).
+//! `SingleMutexStore`, `ShardedStore` (plain `Vec` layout) and `SpillStore`
+//! (compressed block-encoded segments with a mutable tail) — the latter
+//! all-resident (a budget covering the index: the compressed in-memory
+//! layout), spilling every sealed segment to on-disk page files behind an
+//! LRU page cache, tiering-tuned (with maintenance — promotion, demotion,
+//! page-file compaction — forced on every operation) and durable
+//! (write-ahead logging plus aggressive checkpointing live during the
+//! workload).
 //!
 //! The engines share one generic session table, so this test pins down the
 //! layer where they *can* diverge: the physical list representation (scan,
 //! visibility counting, block skipping, insert placement, tail sealing and
-//! compaction in the segment engine).
+//! compaction in the segment-stack list).
 
 use proptest::prelude::*;
 use zerber_suite::corpus::{GroupId, TermId};
 use zerber_suite::protocol::{AccessControl, AuthToken, IndexServer, QueryRequest};
 use zerber_suite::store::{
-    CursorId, DurableConfig, ListStore, RangedFetch, SegmentConfig, SegmentStore, ShardedStore,
-    SingleMutexStore, SpillConfig, SpillStore, SyncPolicy,
+    CursorId, DurableConfig, ListStore, RangedFetch, SegmentConfig, ShardedStore, SingleMutexStore,
+    SpillConfig, SpillStore, SyncPolicy,
 };
 use zerber_suite::zerber::{EncryptedElement, MergePlan, MergedListId};
 use zerber_suite::zerber_r::{OrderedElement, OrderedIndex};
@@ -82,7 +83,7 @@ fn engines(
 ) -> (
     SingleMutexStore,
     ShardedStore,
-    SegmentStore,
+    SpillStore,
     SpillStore,
     SpillStore,
     SpillStore,
@@ -105,7 +106,18 @@ fn engines(
     (
         SingleMutexStore::new(index.clone()),
         ShardedStore::with_shards(index.clone(), 2),
-        SegmentStore::with_config(index.clone(), 2, segment_config).unwrap(),
+        // A resident budget covering the index: every sealed segment stays
+        // in memory and resident-only compaction keeps the stack shallow.
+        SpillStore::in_temp_dir_with(
+            index.clone(),
+            2,
+            SpillConfig {
+                resident_budget_bytes: usize::MAX,
+                ..SpillConfig::default().without_tiering()
+            },
+            segment_config,
+        )
+        .unwrap(),
         // Zero resident budget + a tiny page cache: every sealed segment
         // round-trips through the on-disk page format under this workload.
         SpillStore::in_temp_dir_with(
@@ -159,7 +171,7 @@ fn engines(
     )
 }
 
-/// Index servers over the three engines, sharing one user directory with
+/// Index servers over the six engines, sharing one user directory with
 /// deliberately different group views per user (so a cross-user round mixes
 /// visibility filters): `user-0` sees everything, `user-3` nothing, and
 /// `user-4` is never registered.
@@ -350,6 +362,11 @@ proptest! {
         prop_assert!(tiering.budget_accounting_is_exact());
         // Same invariant through WAL appends, checkpoints and WAL resets.
         prop_assert!(durable.budget_accounting_is_exact());
+        // The covering budget kept every segment resident: no page was
+        // ever written, whatever the interleaving.
+        prop_assert!(segmented.budget_accounting_is_exact());
+        prop_assert_eq!(segmented.spilled_bytes(), 0);
+        prop_assert_eq!(segmented.page_file_bytes(), 0);
         prop_assert_eq!(single.num_elements(), sharded.num_elements());
         prop_assert_eq!(single.num_elements(), segmented.num_elements());
         prop_assert_eq!(single.num_elements(), spilled.num_elements());
@@ -374,7 +391,7 @@ proptest! {
     /// requests from many users with different group views, unknown users,
     /// forged tokens, stale cursors and unknown lists mixed in — must answer
     /// element-for-element identically to the same requests issued one at a
-    /// time through `handle_query`, across all four engines.  A failing
+    /// time through `handle_query`, across every engine.  A failing
     /// request (denied user, unknown list) degrades alone; the rest of the
     /// batch stays correct.
     #[test]
@@ -455,7 +472,7 @@ proptest! {
     /// shard worker pool (2 workers, concurrent buckets, work-stealing) must
     /// be output-deterministic — element-for-element identical to the same
     /// round on the sequential in-thread scheduler AND to the requests
-    /// issued one at a time through `handle_query`, across all four engines,
+    /// issued one at a time through `handle_query`, across every engine,
     /// with forged tokens, stale cursors and unknown lists mixed into the
     /// parallel round.
     #[test]
