@@ -83,7 +83,6 @@ pub struct RoundStats {
 /// `remaining` hits zero; workers scatter results under the `results` mutex.
 struct RoundSink {
     results: Mutex<Vec<Option<Result<RangedBatch, StoreError>>>>,
-    lock_acquisitions: AtomicU64,
     stolen_buckets: AtomicU64,
     remaining: Mutex<usize>,
     done: Condvar,
@@ -187,13 +186,12 @@ impl ShardWorkerPool {
             slots[index] = Some(Err(error));
         }
         if plan.buckets.is_empty() {
-            return (assemble(slots, 0), round);
+            return (assemble(slots), round);
         }
 
         let jobs: Arc<[StoreJob]> = Arc::from(jobs);
         let sink = Arc::new(RoundSink {
             results: Mutex::new(slots),
-            lock_acquisitions: AtomicU64::new(0),
             stolen_buckets: AtomicU64::new(0),
             remaining: Mutex::new(plan.buckets.len()),
             done: Condvar::new(),
@@ -219,9 +217,8 @@ impl ShardWorkerPool {
         drop(remaining);
 
         round.stolen_buckets = sink.stolen_buckets.load(Ordering::Relaxed);
-        let locks = sink.lock_acquisitions.load(Ordering::Relaxed);
         let slots = std::mem::take(&mut *lock(&sink.results));
-        (assemble(slots, locks), round)
+        (assemble(slots), round)
     }
 }
 
@@ -241,10 +238,7 @@ impl Drop for ShardWorkerPool {
     }
 }
 
-fn assemble(
-    slots: Vec<Option<Result<RangedBatch, StoreError>>>,
-    lock_acquisitions: u64,
-) -> ShardBatchOutput {
+fn assemble(slots: Vec<Option<Result<RangedBatch, StoreError>>>) -> ShardBatchOutput {
     ShardBatchOutput {
         results: slots
             .into_iter()
@@ -254,7 +248,6 @@ fn assemble(
                 )))
             })
             .collect(),
-        lock_acquisitions,
     }
 }
 
@@ -297,20 +290,17 @@ fn run_task(task: Task, stolen: bool) {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         store.execute_shard_bucket(&jobs, &bucket)
     }));
-    let (results, locks) = match outcome {
-        Ok(output) => (output.results, output.lock_acquisitions),
-        Err(_) => (
-            bucket
-                .jobs
-                .iter()
-                .map(|_| {
-                    Err(StoreError::Io(
-                        "shard worker panicked executing a bucket".into(),
-                    ))
-                })
-                .collect::<Vec<_>>(),
-            0,
-        ),
+    let results = match outcome {
+        Ok(output) => output.results,
+        Err(_) => bucket
+            .jobs
+            .iter()
+            .map(|_| {
+                Err(StoreError::Io(
+                    "shard worker panicked executing a bucket".into(),
+                ))
+            })
+            .collect(),
     };
     {
         let mut slots = lock(&sink.results);
@@ -318,7 +308,6 @@ fn run_task(task: Task, stolen: bool) {
             slots[index] = Some(result);
         }
     }
-    sink.lock_acquisitions.fetch_add(locks, Ordering::Relaxed);
     if stolen {
         sink.stolen_buckets.fetch_add(1, Ordering::Relaxed);
     }
@@ -417,7 +406,7 @@ mod tests {
         let pool = ShardWorkerPool::new(2);
         let (output, round) = pool.execute(&store, Vec::new());
         assert!(output.results.is_empty());
-        assert_eq!(output.lock_acquisitions, 0);
+        assert_eq!(store.lock_acquisitions(), 0);
         assert_eq!(round, RoundStats::default());
     }
 

@@ -20,14 +20,13 @@
 //!   the list is exhausted.  Evicted or foreign cursors fall back to the
 //!   stateless offset scan, so the responses are element-for-element
 //!   identical either way.
-//! * **Batched multi-term queries** — [`IndexServer::handle_query_batch`]
-//!   authenticates once and serves all sub-requests through
-//!   [`ListStore::fetch_ranged_many`], which visits each shard exactly once.
-//! * **Cross-user batched scheduler** — [`IndexServer::handle_query_stream`]
-//!   serves a whole round of requests from *different* users: each distinct
-//!   user authenticates once per round, all fetches are bucketed by shard,
-//!   and every shard bucket executes under a single lock acquisition
-//!   (`ListStore::execute_shard_batch`).  `ServerStats` meters `batches`,
+//! * **One read path** — every query request is served by one shard round
+//!   (`IndexServer::round`): one [`StoreJob`] per authenticated request,
+//!   each touched shard under a single lock acquisition.
+//!   [`IndexServer::handle_query`] is a round of one,
+//!   [`IndexServer::handle_query_batch`] one user's multi-term round and
+//!   [`IndexServer::handle_query_stream`] a cross-user round; each distinct
+//!   user authenticates once per round.  `ServerStats` meters `batches`,
 //!   `lock_acquisitions` and `auth_checks` so the amortization is visible.
 
 use std::collections::HashMap;
@@ -62,7 +61,7 @@ pub struct ServerStats {
     /// Number of insert operations accepted.
     pub inserts_accepted: u64,
     /// Batch rounds served ([`IndexServer::handle_query_batch`] and
-    /// [`IndexServer::handle_query_stream`] calls).
+    /// non-empty [`IndexServer::handle_query_stream`] calls).
     pub batches: u64,
     /// Shard-lock acquisitions the storage engine performed on the serving
     /// paths (fetches, cursor operations, inserts and batch rounds); audit
@@ -423,11 +422,16 @@ pub struct IndexServer {
     store: Arc<dyn ListStore>,
     acl: AccessControl,
     stats: AtomicStats,
-    /// The shard worker pool executing batch rounds, when parallel serving
-    /// is enabled ([`IndexServer::set_shard_workers`]); `None` runs rounds
-    /// sequentially on the calling thread, exactly as before.
+    /// The shard worker pool executing rounds of more than one request, when
+    /// parallel serving is enabled ([`IndexServer::set_shard_workers`]);
+    /// `None` runs every round sequentially on the calling thread.
     pool: RwLock<Option<ShardWorkerPool>>,
 }
+
+/// A request admitted to a round: validated and authenticated, carrying the
+/// user's group set (shared by every job of that user in the round), or the
+/// error that refused it.
+type Admitted<'a> = Result<(&'a QueryRequest, Arc<[GroupId]>), ProtocolError>;
 
 /// Opaque per-user session tag binding cursors to the user who opened them
 /// (FNV-1a over the user name; never 0 so it cannot collide with "no owner").
@@ -438,6 +442,15 @@ fn owner_tag(user: &str) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash.max(1)
+}
+
+/// The stateless offset scan a request asks for.
+fn ranged_fetch(request: &QueryRequest) -> RangedFetch {
+    RangedFetch {
+        list: MergedListId(request.list),
+        offset: request.offset as usize,
+        count: request.count as usize,
+    }
 }
 
 impl IndexServer {
@@ -457,9 +470,10 @@ impl IndexServer {
         }
     }
 
-    /// Sets how many persistent shard workers execute batch rounds
-    /// ([`IndexServer::handle_query_stream`]): `0` disables the pool and
-    /// runs rounds sequentially on the calling thread (the default), `n > 0`
+    /// Sets how many persistent shard workers execute rounds of more than
+    /// one request (batches and streams; a round of one always runs inline):
+    /// `0` disables the pool and runs rounds on the calling thread (the
+    /// default), `n > 0`
     /// spawns a pool of `n` workers with shard-affine queues and
     /// work-stealing.  Idempotent when the count is unchanged; otherwise the
     /// old pool (if any) is shut down and joined before the call returns.
@@ -579,87 +593,97 @@ impl IndexServer {
         Ok(())
     }
 
-    /// Serves one validated, authenticated request against the store.
-    /// `try_resume` is false only on the stream scheduler's stale-cursor
-    /// fallback, where the shard round already proved the cursor dead —
-    /// retrying it here would pay a second lock for a guaranteed failure.
-    fn serve(
-        &self,
-        request: &QueryRequest,
-        groups: &[GroupId],
-        prefetched: Option<RangedBatch>,
-        try_resume: bool,
-    ) -> Result<QueryResponse, ProtocolError> {
-        let list = MergedListId(request.list);
-        let owner = owner_tag(&request.user);
-        let count = request.count as usize;
-
-        // Resume the cursor session if the client presents a live one;
-        // unknown / evicted / foreign cursors fall back to the offset scan.
-        let resumed = if try_resume && request.cursor != 0 && prefetched.is_none() {
-            self.store
-                .cursor_fetch(CursorId(request.cursor), owner, count, Some(groups))
-                .ok()
-        } else {
-            None
-        };
-
-        let (batch, session) = match resumed {
-            Some(batch) => (batch, CursorId(request.cursor)),
-            None => {
-                let batch = match prefetched {
-                    Some(batch) => batch,
-                    None => self
-                        .store
-                        .fetch_ranged(
-                            &RangedFetch {
-                                list,
-                                offset: request.offset as usize,
-                                count,
-                            },
-                            Some(groups),
-                        )
-                        .map_err(map_store_error)?,
-                };
-                // Sessions open lazily, on the first follow-up (a non-zero
-                // offset, or a cursor the store evicted): one-shot initial
-                // queries — the common case — stay entirely on the shard
-                // read lock and never touch the session table.
-                let follow_up = request.offset > 0 || request.cursor != 0;
-                let session = if batch.exhausted || !follow_up {
-                    CursorId::NONE
+    /// Serves one round of admitted requests — the read path behind every
+    /// `handle_query*` entry point.  Each admitted request becomes one
+    /// [`StoreJob`] (a presented cursor resumes its session, anything else
+    /// is a ranged fetch); a round of more than one request runs on the
+    /// shard worker pool when one is installed, a round of one inline.
+    /// Results align with `admitted`: a refused request keeps its error and
+    /// a failing job degrades only its own request.
+    fn round(&self, admitted: Vec<Admitted<'_>>) -> Vec<Result<QueryResponse, ProtocolError>> {
+        let jobs: Vec<StoreJob> = admitted
+            .iter()
+            .flatten()
+            .map(|(request, groups)| {
+                let groups = Some(Arc::clone(groups));
+                if request.cursor != 0 {
+                    let (owner, count) = (owner_tag(&request.user), request.count as usize);
+                    StoreJob::resume_shared(CursorId(request.cursor), owner, count, groups)
                 } else {
-                    // `delivered` lets the store re-derive the position if a
-                    // concurrent insert moved the list between the fetch and
-                    // this open (generation mismatch).
-                    let delivered = request.offset as usize + batch.elements.len();
-                    self.store
-                        .open_cursor(list, owner, &batch, delivered, Some(groups))
-                        .unwrap_or(CursorId::NONE)
-                };
-                (batch, session)
+                    StoreJob::ranged_shared(ranged_fetch(request), groups)
+                }
+            })
+            .collect();
+        let pool = (admitted.len() > 1).then(|| self.pool.read());
+        let outcomes = match pool.as_deref().and_then(Option::as_ref) {
+            Some(pool) => {
+                let (output, round) = pool.execute(&self.store, jobs);
+                self.stats.record_worker_round(&round);
+                output.results
             }
+            None => self.store.execute_shard_batch(&jobs).results,
         };
-
-        Ok(self.finish(request, owner, batch, session))
+        drop(pool);
+        let mut outcomes = outcomes.into_iter();
+        admitted
+            .into_iter()
+            .map(|admission| {
+                let (request, groups) = admission?;
+                let outcome = outcomes.next().unwrap_or(Err(StoreError::Invariant(
+                    "a round yields one outcome per job",
+                )));
+                self.finish(request, &groups, outcome)
+            })
+            .collect()
     }
 
-    /// Builds and meters the response for a served batch, closing the
-    /// session when the scan exhausted the list.
+    /// Finishes one request of a round: rescans by offset when the store no
+    /// longer knows the presented cursor (evicted, expired or foreign; no
+    /// second resume attempt), opens the session lazily on a follow-up,
+    /// closes it on exhaustion, and builds and meters the response.
     fn finish(
         &self,
         request: &QueryRequest,
-        owner: u64,
-        batch: RangedBatch,
-        session: CursorId,
-    ) -> QueryResponse {
-        let cursor = if batch.exhausted {
-            if session.is_some() {
-                self.store.close_cursor(session, owner);
+        groups: &[GroupId],
+        outcome: Result<RangedBatch, StoreError>,
+    ) -> Result<QueryResponse, ProtocolError> {
+        let (outcome, resumed) = match outcome {
+            Err(StoreError::UnknownCursor(_)) if request.cursor != 0 => {
+                let rescan = self
+                    .store
+                    .fetch_ranged(&ranged_fetch(request), Some(groups));
+                (rescan, false)
             }
-            0
+            outcome => (outcome, request.cursor != 0),
+        };
+        let batch = outcome.map_err(map_store_error)?;
+        let owner = owner_tag(&request.user);
+        let cursor = if batch.exhausted {
+            if resumed {
+                self.store.close_cursor(CursorId(request.cursor), owner);
+            }
+            CursorId::NONE
+        } else if resumed {
+            CursorId(request.cursor)
+        } else if request.offset == 0 && request.cursor == 0 {
+            // Sessions open lazily, on the first follow-up (a non-zero
+            // offset, or a cursor the store evicted): one-shot initial
+            // queries — the common case — never touch the session table.
+            CursorId::NONE
         } else {
-            session.0
+            // `delivered` lets the store re-derive the position if a
+            // concurrent insert moved the list between the fetch and this
+            // open (generation mismatch).
+            let delivered = request.offset as usize + batch.elements.len();
+            self.store
+                .open_cursor(
+                    MergedListId(request.list),
+                    owner,
+                    &batch,
+                    delivered,
+                    Some(groups),
+                )
+                .unwrap_or(CursorId::NONE)
         };
         let elements: Vec<WireElement> = batch
             .elements
@@ -669,13 +693,13 @@ impl IndexServer {
         let response = QueryResponse {
             elements,
             visible_total: batch.visible_total as u64,
-            cursor,
+            cursor: cursor.0,
         };
         self.stats.record_query(request, &response);
-        response
+        Ok(response)
     }
 
-    /// Handles one (initial or follow-up) query request.
+    /// Handles one (initial or follow-up) query request: a round of one.
     ///
     /// The response contains up to `request.count` elements of the list in
     /// descending TRS order, restricted to the groups the user belongs to,
@@ -688,18 +712,24 @@ impl IndexServer {
     ) -> Result<QueryResponse, ProtocolError> {
         Self::validate(request)?;
         let groups = self.authenticate(&request.user, token)?;
-        self.serve(request, &groups, None, true)
+        self.round(vec![Ok((request, Arc::from(groups)))])
+            .pop()
+            .unwrap_or_else(|| {
+                Err(ProtocolError::Core(
+                    "a round of one yields one response".into(),
+                ))
+            })
     }
 
     /// Handles a batch of query requests from one user (the initial round of
-    /// a multi-term query).  Authentication happens once and the storage
-    /// engine visits each shard exactly once for the whole batch.
+    /// a multi-term query): authenticates once and serves the batch as one
+    /// round, which visits each touched shard under a single lock.
     ///
     /// The outer `Result` covers whole-batch failures (empty or mixed-user
     /// batches, malformed parameters, authentication); the inner results
     /// align with the input order and carry per-request errors, so one stale
-    /// list id degrades that request alone — exactly as if every request had
-    /// been served (and metered) individually.
+    /// list id or cursor degrades that request alone — exactly as if every
+    /// request had been served (and metered) individually.
     pub fn handle_query_batch(
         &self,
         requests: &[QueryRequest],
@@ -716,171 +746,57 @@ impl IndexServer {
                 ));
             }
         }
-        let groups = self.authenticate(&first.user, token)?;
+        let groups: Arc<[GroupId]> = Arc::from(self.authenticate(&first.user, token)?);
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        // Cursor-less requests go through the shard-batched path; resumptions
-        // (unusual inside a batch) are served individually.
-        let plain: Vec<usize> = (0..requests.len())
-            .filter(|&i| requests[i].cursor == 0)
-            .collect();
-        let plain_fetches: Vec<RangedFetch> = plain
-            .iter()
-            .map(|&i| RangedFetch {
-                list: MergedListId(requests[i].list),
-                offset: requests[i].offset as usize,
-                count: requests[i].count as usize,
-            })
-            .collect();
-        let mut prefetched: Vec<Option<Result<RangedBatch, StoreError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        for (&i, result) in plain
-            .iter()
-            .zip(self.store.fetch_ranged_many(&plain_fetches, Some(&groups)))
-        {
-            prefetched[i] = Some(result);
-        }
-        Ok(requests
-            .iter()
-            .zip(prefetched)
-            .map(|(request, prefetched)| match prefetched {
-                Some(Ok(batch)) => self.serve(request, &groups, Some(batch), true),
-                Some(Err(e)) => Err(map_store_error(e)),
-                None => self.serve(request, &groups, None, true),
-            })
-            .collect())
+        Ok(self.round(
+            requests
+                .iter()
+                .map(|request| Ok((request, Arc::clone(&groups))))
+                .collect(),
+        ))
     }
 
     /// Serves a cross-user batch of requests — the batched shard scheduler.
     ///
     /// Unlike [`IndexServer::handle_query_batch`] (one user's multi-term
     /// round), a stream round mixes requests from arbitrary users, so each
-    /// entry carries its own token.  The scheduler
-    ///
-    /// 1. authenticates each distinct `(user, token)` pair **once** per
-    ///    round instead of once per request,
-    /// 2. buckets all fetches — across users — by storage shard,
-    /// 3. executes each shard bucket under a **single** lock acquisition
-    ///    (`ListStore::execute_shard_batch`; the single-mutex engine
-    ///    degenerates to one lock for the whole round) — sequentially on
-    ///    the calling thread by default, or concurrently on the persistent
-    ///    shard worker pool when [`IndexServer::set_shard_workers`] enabled
-    ///    one — and
-    /// 4. reassembles responses in input order with per-request error
-    ///    isolation: a stale cursor, failed authentication or unknown list
-    ///    degrades that request alone, never the batch.
-    ///
-    /// Live cursor sessions are resumed inside the shard round; a cursor the
-    /// store evicted falls back to the stateless offset scan, exactly like
-    /// [`IndexServer::handle_query`].  Responses and metering are
-    /// request-for-request identical to serving the stream sequentially.
+    /// entry carries its own token.  Each distinct `(user, token)` pair
+    /// authenticates **once** per round, then the whole stream is served as
+    /// one round: fetches and cursor resumptions across users are bucketed
+    /// by storage shard and each bucket executes under a **single** lock
+    /// acquisition (the single-mutex engine degenerates to one lock for the
+    /// whole round) — on the shard worker pool when
+    /// [`IndexServer::set_shard_workers`] installed one.  Responses come back
+    /// in input order with per-request error isolation: a stale cursor,
+    /// failed authentication or unknown list degrades that request alone,
+    /// never the batch, and each answers exactly like
+    /// [`IndexServer::handle_query`].  An empty stream is a no-op.
     pub fn handle_query_stream(
         &self,
         requests: &[(QueryRequest, AuthToken)],
     ) -> Vec<Result<QueryResponse, ProtocolError>> {
-        self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        // A round of one is the request itself: serve it on the per-query
-        // fast path so an unbatched stream costs exactly what
-        // `handle_query` costs.
-        if let [(request, token)] = requests {
-            return vec![Self::validate(request)
-                .and_then(|()| self.authenticate(&request.user, token))
-                .and_then(|groups| self.serve(request, &groups, None, true))];
+        if requests.is_empty() {
+            return Vec::new();
         }
-        // Authenticate each distinct (user, token) once.  `arena` owns the
-        // group sets behind `Arc`s so the shard jobs below can share them
-        // with the worker pool without copying per request.
-        let mut arena: Vec<Arc<[GroupId]>> = Vec::new();
-        let mut cache: HashMap<(&str, &AuthToken), Result<usize, ProtocolError>> = HashMap::new();
-        let mut prepared: Vec<Result<usize, ProtocolError>> = Vec::with_capacity(requests.len());
-        for (request, token) in requests {
-            // Validate before authenticating, like the sequential path: a
-            // malformed request is rejected without paying an HMAC check.
-            prepared.push(Self::validate(request).and_then(|()| {
-                cache
+        self.stats.batches.fetch_add(1, Ordering::Relaxed);
+        let mut auth = HashMap::new();
+        let admitted = requests
+            .iter()
+            .map(|(request, token)| {
+                // Validate before authenticating, like `handle_query`: a
+                // malformed request is rejected without paying an HMAC check.
+                Self::validate(request)?;
+                let groups = auth
                     .entry((request.user.as_str(), token))
                     .or_insert_with(|| {
-                        self.authenticate(&request.user, token).map(|groups| {
-                            arena.push(Arc::from(groups));
-                            arena.len() - 1
-                        })
+                        self.authenticate(&request.user, token)
+                            .map(Arc::<[GroupId]>::from)
                     })
-                    .clone()
-            }));
-        }
-        // One shard job per authenticated request: live cursors resume
-        // inside the round, everything else is a fresh ranged fetch.
-        let jobs: Vec<StoreJob> = requests
-            .iter()
-            .zip(&prepared)
-            .filter_map(|((request, _), auth)| {
-                let groups = Some(Arc::clone(&arena[*auth.as_ref().ok()?]));
-                Some(if request.cursor != 0 {
-                    StoreJob::resume_shared(
-                        CursorId(request.cursor),
-                        owner_tag(&request.user),
-                        request.count as usize,
-                        groups,
-                    )
-                } else {
-                    StoreJob::ranged_shared(
-                        RangedFetch {
-                            list: MergedListId(request.list),
-                            offset: request.offset as usize,
-                            count: request.count as usize,
-                        },
-                        groups,
-                    )
-                })
+                    .clone()?;
+                Ok((request, groups))
             })
             .collect();
-        // With a worker pool, the round's buckets execute concurrently on
-        // the persistent shard workers; without one, sequentially right
-        // here.  Either way results come back aligned with the job order
-        // and metering is identical.
-        let output = {
-            let pool = self.pool.read();
-            match pool.as_ref() {
-                Some(pool) => {
-                    let (output, round) = pool.execute(&self.store, jobs);
-                    self.stats.record_worker_round(&round);
-                    output
-                }
-                None => self.store.execute_shard_batch(&jobs),
-            }
-        };
-        let mut outcomes = output.results.into_iter();
-        requests
-            .iter()
-            .zip(prepared)
-            .map(|((request, _), auth)| {
-                let groups = &arena[auth?];
-                let outcome = outcomes.next().ok_or_else(|| {
-                    ProtocolError::Core(
-                        "internal invariant: every prepared request has a job".into(),
-                    )
-                })?;
-                match outcome {
-                    Ok(batch) if request.cursor != 0 => {
-                        // The round resumed a live session.
-                        Ok(self.finish(
-                            request,
-                            owner_tag(&request.user),
-                            batch,
-                            CursorId(request.cursor),
-                        ))
-                    }
-                    Ok(batch) => self.serve(request, groups, Some(batch), true),
-                    Err(StoreError::UnknownCursor(_)) if request.cursor != 0 => {
-                        // Evicted or foreign cursor: fall back to the
-                        // stateless offset scan, like the single-query path
-                        // (without retrying the resume the round just saw
-                        // fail).
-                        self.serve(request, groups, None, false)
-                    }
-                    Err(e) => Err(map_store_error(e)),
-                }
-            })
-            .collect()
+        self.round(admitted)
     }
 
     /// Closes a cursor session early (a client that got its `k` results
@@ -1413,8 +1329,69 @@ mod tests {
             Err(ProtocolError::AuthenticationFailed(_))
         ));
         assert!(matches!(results[6], Err(ProtocolError::InvalidRequest(_))));
-        // An empty round is a no-op, not an error.
+        // An empty round is a no-op, not an error, and meters no batch.
+        let batches = server.stats().batches;
         assert!(server.handle_query_stream(&[]).is_empty());
+        assert_eq!(server.stats().batches, batches);
+    }
+
+    #[test]
+    fn batch_cursors_resume_or_fall_back_exactly_like_individual_queries() {
+        // Two identical servers with identical session histories: one
+        // serves the batch, the other the same requests one by one.
+        let (c, batched, _, _) = server_fixture();
+        let (_, single, _, _) = server_fixture();
+        let list = list_for(&c, &batched, "imclone");
+        let john = batched.acl().issue_token("john");
+        let alice = batched.acl().issue_token("alice");
+        let mut sessions = Vec::new();
+        for server in [&batched, &single] {
+            // Each follow-up opens a session: john's and alice's own.
+            let live = server
+                .handle_query(&request("john", list, 2, 2, 10), &john)
+                .unwrap();
+            let foreign = server
+                .handle_query(&request("alice", list, 2, 2, 10), &alice)
+                .unwrap();
+            assert!(live.cursor != 0 && foreign.cursor != 0);
+            sessions.push((live.cursor, foreign.cursor));
+            server.reset_stats();
+        }
+        assert_eq!(sessions[0], sessions[1], "session ids are deterministic");
+        let (live, foreign) = sessions[0];
+        let requests = vec![
+            QueryRequest {
+                cursor: live,
+                ..request("john", list, 4, 3, 10)
+            },
+            QueryRequest {
+                cursor: foreign,
+                ..request("john", list, 2, 3, 10)
+            },
+            QueryRequest {
+                cursor: 0xdead_beef << 8,
+                ..request("john", list, 0, 3, 10)
+            },
+            request("john", list, 0, 3, 10),
+        ];
+        let from_batch = batched.handle_query_batch(&requests, &john).unwrap();
+        let one_by_one: Vec<_> = requests
+            .iter()
+            .map(|r| single.handle_query(r, &john))
+            .collect();
+        assert_eq!(from_batch.len(), requests.len());
+        for (a, b) in from_batch.iter().zip(&one_by_one) {
+            // Elements, visibility totals and the session handed back.
+            assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
+        }
+        assert_eq!(batched.open_cursors(), single.open_cursors());
+        let (batch_stats, single_stats) = (batched.stats(), single.stats());
+        assert_eq!(batch_stats.auth_checks, 1);
+        assert_eq!(batch_stats.batches, 1);
+        assert_eq!(single_stats.auth_checks, requests.len() as u64);
+        assert_eq!(batch_stats.requests_served, single_stats.requests_served);
+        assert_eq!(batch_stats.elements_sent, single_stats.elements_sent);
+        assert_eq!(batch_stats.bytes_out, single_stats.bytes_out);
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::error::StoreError;
 use crate::lockrank::{self, LockClass};
 use crate::spill::{SpillStore, WalTail};
 use crate::store::{
-    CursorId, ListStore, RangedBatch, RangedFetch, SessionStats, ShardBucketOutput, ShardJobBucket,
+    CursorId, ListStore, RangedBatch, SessionStats, ShardBucketOutput, ShardJobBucket,
     ShardJobPlan, StoreJob,
 };
 
@@ -1274,17 +1274,16 @@ impl ListStore for ReplicaReadStore {
         self.store().snapshot_list(list)
     }
 
-    fn fetch_ranged(
-        &self,
-        fetch: &RangedFetch,
-        accessible: Option<&[GroupId]>,
-    ) -> Result<RangedBatch, StoreError> {
-        self.guard()?;
-        self.store().fetch_ranged(fetch, accessible)
-    }
-
     fn plan_shard_batch(&self, jobs: &[StoreJob], max_bucket_jobs: usize) -> ShardJobPlan {
-        self.store().plan_shard_batch(jobs, max_bucket_jobs)
+        match self.guard() {
+            Ok(()) => self.store().plan_shard_batch(jobs, max_bucket_jobs),
+            // A lagging replica degrades every job, routable or not, before
+            // any shard is touched.
+            Err(degraded) => ShardJobPlan {
+                buckets: Vec::new(),
+                unroutable: (0..jobs.len()).map(|i| (i, degraded.clone())).collect(),
+            },
+        }
     }
 
     fn execute_shard_bucket(
@@ -1293,12 +1292,11 @@ impl ListStore for ReplicaReadStore {
         bucket: &ShardJobBucket,
     ) -> ShardBucketOutput {
         if let Err(degraded) = self.guard() {
-            // Degrade every job of the bucket individually: the batched
-            // scheduler's per-request error isolation carries the typed
-            // response to each client.
+            // The lag passed the bound after planning: degrade every job of
+            // the bucket individually; the server's per-request error
+            // isolation carries the typed response to each client.
             return ShardBucketOutput {
                 results: bucket.jobs.iter().map(|_| Err(degraded.clone())).collect(),
-                lock_acquisitions: 0,
             };
         }
         self.store().execute_shard_bucket(jobs, bucket)
@@ -1319,17 +1317,6 @@ impl ListStore for ReplicaReadStore {
         self.guard()?;
         self.store()
             .open_cursor(list, owner, batch, delivered, accessible)
-    }
-
-    fn cursor_fetch(
-        &self,
-        cursor: CursorId,
-        owner: u64,
-        count: usize,
-        accessible: Option<&[GroupId]>,
-    ) -> Result<RangedBatch, StoreError> {
-        self.guard()?;
-        self.store().cursor_fetch(cursor, owner, count, accessible)
     }
 
     fn close_cursor(&self, cursor: CursorId, owner: u64) {

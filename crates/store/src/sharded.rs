@@ -33,8 +33,8 @@ use zerber_r::{OrderedElement, OrderedIndex};
 use crate::error::StoreError;
 use crate::lockrank::{self, LockClass};
 use crate::store::{
-    CursorId, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch, SessionStats,
-    ShardBucketOutput, ShardJobBucket, ShardJobPlan, StoreJob, VecList,
+    CursorId, ListStore, ListTable, OrderedList, RangedBatch, SessionStats, ShardBucketOutput,
+    ShardJobBucket, ShardJobPlan, StoreJob, VecList,
 };
 
 /// Upper bound on shards: cursor ids embed the shard index in their low byte.
@@ -327,73 +327,48 @@ impl<L: OrderedList> ListStore for ShardedCore<L> {
         self.shard_read(shard).list(slot).snapshot()
     }
 
-    fn fetch_ranged(
-        &self,
-        fetch: &RangedFetch,
-        accessible: Option<&[GroupId]>,
-    ) -> Result<RangedBatch, StoreError> {
-        let (shard, slot) = self.known(fetch.list)?;
-        self.meter_lock();
-        self.shard_read(shard)
-            .fetch(slot, fetch.offset, fetch.count, accessible)
-    }
-
     fn plan_shard_batch(&self, jobs: &[StoreJob], max_bucket_jobs: usize) -> ShardJobPlan {
-        // Group job indices by shard — ranged jobs route by list id, cursor
-        // jobs by the shard index embedded in the cursor.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        // Route every job — ranged jobs by list id, cursor jobs by the shard
+        // index embedded in the cursor — and sort the routed ones by
+        // `(shard, key, index)`: within a shard, ranged jobs group by list
+        // and cursor resumptions by session, each in input order, so
+        // same-session resumptions answer exactly like a sequential run, and
+        // a layout that pages cold state in from disk faults each touched
+        // page at most once per round.  (A resume job's `fetch.list` is a
+        // placeholder — the session knows its own list — so cursors group by
+        // id, not list.)
+        let mut routed = Vec::with_capacity(jobs.len());
         let mut unroutable = Vec::new();
         for (i, job) in jobs.iter().enumerate() {
-            let routed = if job.cursor.is_some() {
-                self.cursor_shard(job.cursor)
+            let (shard, key) = if job.cursor.is_some() {
+                (self.cursor_shard(job.cursor), (1u8, job.cursor.0))
             } else {
-                self.known(job.fetch.list).map(|(shard, _)| shard)
+                let shard = self.known(job.fetch.list).map(|(shard, _)| shard);
+                (shard, (0u8, job.fetch.list.0))
             };
-            match routed {
-                Ok(shard) => by_shard[shard].push(i),
+            match shard {
+                Ok(shard) => routed.push((shard, key, i)),
                 Err(e) => unroutable.push((i, e)),
             }
         }
-        let max_bucket_jobs = max_bucket_jobs.max(1);
+        routed.sort_unstable();
+        // Slice each shard's run into buckets of at most `max_bucket_jobs`,
+        // extending a bucket past the cap rather than splitting one list's /
+        // one cursor session's run of jobs across concurrently executable
+        // buckets (same-session order must match a sequential round).
+        let cap = max_bucket_jobs.max(1);
         let mut buckets = Vec::new();
-        for (shard, mut indices) in by_shard.into_iter().enumerate() {
-            if indices.is_empty() {
-                continue;
+        let mut start = 0usize;
+        while let Some(&(shard, _, _)) = routed.get(start) {
+            let mut end = start + 1;
+            while routed.get(end).is_some_and(|&(s, key, _)| {
+                s == shard && (end - start < cap || key == routed[end - 1].1)
+            }) {
+                end += 1;
             }
-            // Within the shard, serve ranged jobs grouped by list and
-            // cursor resumptions grouped by session (stable, so same-cursor
-            // resumptions keep their input order and answer exactly like a
-            // sequential run): a layout that pages cold state in from disk
-            // then faults each touched page at most once per round of
-            // ranged jobs, and same-session follow-ups share their faults
-            // too.  (A resume job's `fetch.list` is a placeholder — the
-            // session knows its own list — so cursors group by id, not
-            // list.)
-            let key = |i: usize| {
-                let job = &jobs[i];
-                if job.cursor.is_some() {
-                    (1u8, job.cursor.0)
-                } else {
-                    (0u8, job.fetch.list.0)
-                }
-            };
-            indices.sort_by_key(|&i| key(i));
-            // Slice into buckets of at most `max_bucket_jobs`, extending a
-            // bucket past the cap rather than splitting one list's / one
-            // cursor session's run of jobs across concurrently executable
-            // buckets (same-session order must match a sequential round).
-            let mut start = 0usize;
-            while start < indices.len() {
-                let mut end = (start + max_bucket_jobs).min(indices.len());
-                while end < indices.len() && key(indices[end]) == key(indices[end - 1]) {
-                    end += 1;
-                }
-                buckets.push(ShardJobBucket {
-                    shard,
-                    jobs: indices[start..end].to_vec(),
-                });
-                start = end;
-            }
+            let jobs = routed[start..end].iter().map(|&(_, _, i)| i).collect();
+            buckets.push(ShardJobBucket { shard, jobs });
+            start = end;
         }
         ShardJobPlan {
             buckets,
@@ -413,20 +388,7 @@ impl<L: OrderedList> ListStore for ShardedCore<L> {
             let results = bucket
                 .jobs
                 .iter()
-                .map(|&i| {
-                    let job = &jobs[i];
-                    if job.cursor.is_some() {
-                        guard.cursor_fetch(
-                            job.cursor.0,
-                            job.owner,
-                            job.fetch.count,
-                            job.accessible(),
-                        )
-                    } else {
-                        let (_, slot) = self.slot(job.fetch.list);
-                        guard.fetch(slot, job.fetch.offset, job.fetch.count, job.accessible())
-                    }
-                })
+                .map(|&i| guard.serve(&jobs[i], |list| Ok(self.slot(list).1)))
                 .collect();
             (results, guard.ttl_sweep_due())
         };
@@ -434,10 +396,7 @@ impl<L: OrderedList> ListStore for ShardedCore<L> {
             self.meter_lock();
             self.shard_write(shard).sweep_expired();
         }
-        ShardBucketOutput {
-            results,
-            lock_acquisitions: 1,
-        }
+        ShardBucketOutput { results }
     }
 
     fn lock_acquisitions(&self) -> u64 {
@@ -459,30 +418,6 @@ impl<L: OrderedList> ListStore for ShardedCore<L> {
         self.shard_write(shard)
             .open_cursor(raw, slot, owner, batch, delivered, accessible)?;
         Ok(CursorId(raw))
-    }
-
-    fn cursor_fetch(
-        &self,
-        cursor: CursorId,
-        owner: u64,
-        count: usize,
-        accessible: Option<&[GroupId]>,
-    ) -> Result<RangedBatch, StoreError> {
-        let shard = self.cursor_shard(cursor)?;
-        self.meter_lock();
-        let (result, sweep_due) = {
-            let guard = self.shard_read(shard);
-            let result = guard.cursor_fetch(cursor.0, owner, count, accessible);
-            (result, guard.ttl_sweep_due())
-        };
-        if sweep_due {
-            // A TTL sweep is due (at most once per TTL window): upgrade to
-            // the write lock so a read-heavy workload with stable cursors
-            // still reclaims idle sessions.
-            self.meter_lock();
-            self.shard_write(shard).sweep_expired();
-        }
-        result
     }
 
     fn close_cursor(&self, cursor: CursorId, owner: u64) {

@@ -17,8 +17,8 @@ use zerber_r::{OrderedElement, OrderedIndex};
 use crate::error::StoreError;
 use crate::lockrank::{self, LockClass};
 use crate::store::{
-    CursorId, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch, SessionStats,
-    ShardBucketOutput, ShardJobBucket, ShardJobPlan, StoreJob, VecList,
+    CursorId, ListStore, ListTable, OrderedList, RangedBatch, SessionStats, ShardBucketOutput,
+    ShardJobBucket, ShardJobPlan, StoreJob, VecList,
 };
 
 /// A store serializing every operation on one global mutex.
@@ -144,33 +144,31 @@ impl ListStore for SingleMutexStore {
         self.locked().list(slot).snapshot()
     }
 
-    fn fetch_ranged(
-        &self,
-        fetch: &RangedFetch,
-        accessible: Option<&[GroupId]>,
-    ) -> Result<RangedBatch, StoreError> {
-        let slot = self.check(fetch.list)?;
-        self.meter_lock();
-        self.locked()
-            .fetch(slot, fetch.offset, fetch.count, accessible)
-    }
-
     fn plan_shard_batch(&self, jobs: &[StoreJob], _max_bucket_jobs: usize) -> ShardJobPlan {
         // One lock domain: the whole cross-user round is a single unit of
         // work under a single mutex acquisition, however many requests it
         // carries — splitting it into cap-sized buckets would only multiply
         // acquisitions of the very same mutex.  The worker pool degenerates
-        // to one worker, exactly like the pre-sharding architecture.
+        // to one worker, exactly like the pre-sharding architecture.  Jobs
+        // on unknown lists fail without taking the mutex at all.
+        let mut routed = Vec::with_capacity(jobs.len());
+        let mut unroutable = Vec::new();
+        for (i, job) in jobs.iter().enumerate() {
+            match self.check(job.fetch.list) {
+                Err(e) if !job.cursor.is_some() => unroutable.push((i, e)),
+                _ => routed.push(i),
+            }
+        }
         ShardJobPlan {
-            buckets: if jobs.is_empty() {
+            buckets: if routed.is_empty() {
                 Vec::new()
             } else {
                 vec![ShardJobBucket {
                     shard: 0,
-                    jobs: (0..jobs.len()).collect(),
+                    jobs: routed,
                 }]
             },
-            unroutable: Vec::new(),
+            unroutable,
         }
     }
 
@@ -185,22 +183,8 @@ impl ListStore for SingleMutexStore {
             results: bucket
                 .jobs
                 .iter()
-                .map(|&i| {
-                    let job = &jobs[i];
-                    if job.cursor.is_some() {
-                        guard.cursor_fetch(
-                            job.cursor.0,
-                            job.owner,
-                            job.fetch.count,
-                            job.accessible(),
-                        )
-                    } else {
-                        let slot = self.check(job.fetch.list)?;
-                        guard.fetch(slot, job.fetch.offset, job.fetch.count, job.accessible())
-                    }
-                })
+                .map(|&i| guard.serve(&jobs[i], |list| self.check(list)))
                 .collect(),
-            lock_acquisitions: 1,
         };
         // Sweep AFTER serving, matching the sharded engine's ordering, so a
         // session resumed in this very round refreshes its last_used before
@@ -229,29 +213,6 @@ impl ListStore for SingleMutexStore {
         self.locked()
             .open_cursor(raw, slot, owner, batch, delivered, accessible)?;
         Ok(CursorId(raw))
-    }
-
-    fn cursor_fetch(
-        &self,
-        cursor: CursorId,
-        owner: u64,
-        count: usize,
-        accessible: Option<&[GroupId]>,
-    ) -> Result<RangedBatch, StoreError> {
-        if !cursor.is_some() {
-            return Err(StoreError::UnknownCursor(cursor.0));
-        }
-        self.meter_lock();
-        let mut guard = self.locked();
-        // The global mutex is already exclusive: sweep idle sessions inline
-        // when due, so read-heavy workloads reclaim them too — but only
-        // after serving, matching the sharded engine's ordering (a resumed
-        // session refreshes last_used before the sweep can expire it).
-        let result = guard.cursor_fetch(cursor.0, owner, count, accessible);
-        if guard.ttl_sweep_due() {
-            guard.sweep_expired();
-        }
-        result
     }
 
     fn close_cursor(&self, cursor: CursorId, owner: u64) {

@@ -83,8 +83,8 @@ use crate::error::StoreError;
 use crate::segment::{encode_chunk_split, encode_segments, Segment, SegmentConfig};
 use crate::sharded::{default_shards, ShardedCore, MAX_SHARDS};
 use crate::store::{
-    is_visible, CursorId, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch,
-    SessionStats, ShardBucketOutput, ShardJobBucket, ShardJobPlan, StoreJob,
+    is_visible, CursorId, ListStore, ListTable, OrderedList, RangedBatch, SessionStats,
+    ShardBucketOutput, ShardJobBucket, ShardJobPlan, StoreJob,
 };
 
 /// Tuning knobs of the spill engine.
@@ -2801,24 +2801,12 @@ impl ListStore for SpillStore {
         self.core.snapshot_list(list)
     }
 
-    fn fetch_ranged(
-        &self,
-        fetch: &RangedFetch,
-        accessible: Option<&[GroupId]>,
-    ) -> Result<RangedBatch, StoreError> {
-        let out = self.core.fetch_ranged(fetch, accessible);
-        if out.is_ok() {
-            self.tier_maintenance(self.core.shard_of(fetch.list));
-        }
-        out
-    }
-
     fn plan_shard_batch(&self, jobs: &[StoreJob], max_bucket_jobs: usize) -> ShardJobPlan {
         self.core.plan_shard_batch(jobs, max_bucket_jobs)
     }
 
-    // `execute_shard_batch` deliberately stays on the trait default so
-    // batches run through this bucket method and its maintenance hook.
+    // `execute_shard_batch`, `fetch_ranged` and `cursor_fetch` stay on the
+    // trait defaults so every read runs through this maintenance hook.
     fn execute_shard_bucket(
         &self,
         jobs: &[StoreJob],
@@ -2843,22 +2831,6 @@ impl ListStore for SpillStore {
     ) -> Result<CursorId, StoreError> {
         self.core
             .open_cursor(list, owner, batch, delivered, accessible)
-    }
-
-    fn cursor_fetch(
-        &self,
-        cursor: CursorId,
-        owner: u64,
-        count: usize,
-        accessible: Option<&[GroupId]>,
-    ) -> Result<RangedBatch, StoreError> {
-        let out = self.core.cursor_fetch(cursor, owner, count, accessible);
-        if out.is_ok() {
-            if let Ok(shard) = self.core.cursor_shard(cursor) {
-                self.tier_maintenance(shard);
-            }
-        }
-        out
     }
 
     fn close_cursor(&self, cursor: CursorId, owner: u64) {
@@ -2925,7 +2897,7 @@ impl ListStore for SpillStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::VecList;
+    use crate::store::{RangedFetch, VecList};
     use zerber_base::{EncryptedElement, MergePlan};
     use zerber_corpus::TermId;
 
@@ -3127,9 +3099,10 @@ mod tests {
             StoreJob::ranged(fetch(0), None),
             StoreJob::ranged(fetch(1), None),
         ];
+        let before = store.lock_acquisitions();
         let out = store.execute_shard_batch(&jobs);
         assert!(out.results.iter().all(|r| r.is_ok()));
-        assert_eq!(out.lock_acquisitions, 1);
+        assert_eq!(store.lock_acquisitions(), before + 1);
         assert_eq!(
             store.page_faults(),
             2,

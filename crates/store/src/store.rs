@@ -66,11 +66,11 @@ pub struct RangedBatch {
     pub generation: u64,
 }
 
-/// One request of a cross-user shard batch: either a fresh ranged fetch or a
-/// cursor resumption, tagged with the group filter of the user behind it.
-/// Unlike [`ListStore::fetch_ranged_many`] — which serves one user's
-/// multi-term round under a single filter — a job batch mixes requests from
-/// *different* users, so each job carries its own visibility context.
+/// One request of a shard batch: either a fresh ranged fetch or a cursor
+/// resumption, tagged with the group filter of the user behind it.  Every
+/// read goes through jobs — a single fetch is a one-job round — and a round
+/// may mix requests from *different* users, so each job carries its own
+/// visibility context.
 ///
 /// The job *owns* its group filter (a shared `Arc` slice): a shard bucket of
 /// jobs is a `Send + 'static` unit of work, so a persistent shard worker can
@@ -147,12 +147,11 @@ impl StoreJob {
 /// Outcome of one [`ListStore::execute_shard_batch`] round.
 #[derive(Debug)]
 pub struct ShardBatchOutput {
-    /// Per-job results, aligned with the input order.
+    /// Per-job results, aligned with the input order.  The locks a round
+    /// takes are metered by [`ListStore::lock_acquisitions`]: sharded
+    /// engines take each touched shard's lock once, the single-mutex engine
+    /// one lock for the whole round.
     pub results: Vec<Result<RangedBatch, StoreError>>,
-    /// Shard-lock acquisitions the round needed: sharded engines take each
-    /// touched shard's lock once, the single-mutex engine takes one lock for
-    /// the whole round.
-    pub lock_acquisitions: u64,
 }
 
 /// One shard's unit of work inside a batch round: the indices (into the
@@ -201,8 +200,6 @@ impl ShardJobPlan {
 pub struct ShardBucketOutput {
     /// Per-job results, aligned with the bucket's `jobs` order.
     pub results: Vec<Result<RangedBatch, StoreError>>,
-    /// Shard-lock acquisitions serving the bucket needed.
-    pub lock_acquisitions: u64,
 }
 
 /// Counters of one session table (aggregated across shards by
@@ -406,28 +403,16 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
 
     /// Serves one ranged fetch: skips `offset` visible elements from the top
     /// of the list, then returns up to `count` visible elements.
+    ///
+    /// Provided as a one-job [`ListStore::execute_shard_batch`], so a single
+    /// fetch takes the same lock, metering, maintenance and error path as a
+    /// batch round.
     fn fetch_ranged(
         &self,
         fetch: &RangedFetch,
         accessible: Option<&[GroupId]>,
-    ) -> Result<RangedBatch, StoreError>;
-
-    /// Serves a batch of ranged fetches on behalf of one user.
-    /// Implementations group the fetches by shard and acquire each shard
-    /// lock only once, so a multi-term query visits each shard a single
-    /// time.  Results align with the input order.
-    fn fetch_ranged_many(
-        &self,
-        fetches: &[RangedFetch],
-        accessible: Option<&[GroupId]>,
-    ) -> Vec<Result<RangedBatch, StoreError>> {
-        // One shared filter allocation for the whole batch.
-        let shared: Option<Arc<[GroupId]>> = accessible.map(Arc::from);
-        let jobs: Vec<StoreJob> = fetches
-            .iter()
-            .map(|&fetch| StoreJob::ranged_shared(fetch, shared.clone()))
-            .collect();
-        self.execute_shard_batch(&jobs).results
+    ) -> Result<RangedBatch, StoreError> {
+        only_result(self.execute_shard_batch(&[StoreJob::ranged(*fetch, accessible)]))
     }
 
     /// Routes a cross-user batch of fetch/cursor jobs into executable
@@ -460,29 +445,18 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
     /// plan/execute seam concurrently.
     fn execute_shard_batch(&self, jobs: &[StoreJob]) -> ShardBatchOutput {
         let plan = self.plan_shard_batch(jobs, usize::MAX);
-        let mut results: Vec<Option<Result<RangedBatch, StoreError>>> = vec![None; jobs.len()];
+        let unserved = Err(StoreError::Invariant("every job is routed or unroutable"));
+        let mut results = vec![unserved; jobs.len()];
         for (i, e) in plan.unroutable {
-            results[i] = Some(Err(e));
+            results[i] = Err(e);
         }
-        let mut lock_acquisitions = 0u64;
         for bucket in &plan.buckets {
             let out = self.execute_shard_bucket(jobs, bucket);
-            lock_acquisitions += out.lock_acquisitions;
             for (&i, result) in bucket.jobs.iter().zip(out.results) {
-                results[i] = Some(result);
+                results[i] = result;
             }
         }
-        ShardBatchOutput {
-            results: results
-                .into_iter()
-                .map(|r| {
-                    r.unwrap_or(Err(StoreError::Invariant(
-                        "every job is routed or unroutable",
-                    )))
-                })
-                .collect(),
-            lock_acquisitions,
-        }
+        ShardBatchOutput { results }
     }
 
     /// Shard-lock acquisitions performed by the serving paths (fetches,
@@ -512,13 +486,22 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
     /// Resumes a cursor: scans from the stored physical position, returns up
     /// to `count` visible elements and advances the cursor past the scanned
     /// range.
+    ///
+    /// Provided as a one-job [`ListStore::execute_shard_batch`].
+    /// [`CursorId::NONE`] is rejected up front: a job carrying it would be
+    /// served as a ranged fetch instead.
     fn cursor_fetch(
         &self,
         cursor: CursorId,
         owner: u64,
         count: usize,
         accessible: Option<&[GroupId]>,
-    ) -> Result<RangedBatch, StoreError>;
+    ) -> Result<RangedBatch, StoreError> {
+        if !cursor.is_some() {
+            return Err(StoreError::UnknownCursor(cursor.0));
+        }
+        only_result(self.execute_shard_batch(&[StoreJob::resume(cursor, owner, count, accessible)]))
+    }
 
     /// Closes a cursor session (idempotent).  The caller must present the
     /// session's `owner` tag: a foreign tag leaves the session untouched, so
@@ -543,6 +526,17 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
 
     /// Checks the descending-TRS invariant of every list.
     fn verify_ordering(&self) -> bool;
+}
+
+/// The result of a one-job round.
+fn only_result(output: ShardBatchOutput) -> Result<RangedBatch, StoreError> {
+    output
+        .results
+        .into_iter()
+        .next()
+        .unwrap_or(Err(StoreError::Invariant(
+            "a one-job round yields one result",
+        )))
 }
 
 /// The physical representation of one ordered merged list.
@@ -949,6 +943,26 @@ impl<L: OrderedList> ListTable<L> {
             visible_total,
             generation: self.generations[slot],
         })
+    }
+
+    /// Serves one job of a shard round: resumes the job's cursor session, or
+    /// runs its ranged fetch against the slot `slot_of` resolves its list to.
+    pub fn serve(
+        &self,
+        job: &StoreJob,
+        slot_of: impl FnOnce(MergedListId) -> Result<usize, StoreError>,
+    ) -> Result<RangedBatch, StoreError> {
+        let (count, accessible) = (job.fetch.count, job.accessible());
+        if job.cursor.is_some() {
+            self.cursor_fetch(job.cursor.0, job.owner, count, accessible)
+        } else {
+            self.fetch(
+                slot_of(job.fetch.list)?,
+                job.fetch.offset,
+                count,
+                accessible,
+            )
+        }
     }
 
     /// Whether a TTL sweep is due: at most one sweep per

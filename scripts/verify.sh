@@ -13,10 +13,11 @@
 # fault-injected durable recovery suite plus a repeated
 # kill-at-every-injection-point crash stress loop, the fault-injected
 # replication suite plus a repeated disconnect-storm stress loop, bench
-# compilation, clippy with warnings denied, and hygiene guards asserting
-# the tests left no stray on-disk files — page files, `.pages.compact`
-# rewrite scratch, WALs, manifests, `.manifest.tmp`/`.manifest.prev`
-# checkpoint scratch or replica generation directories — behind.
+# compilation, the perfbench build, clippy with warnings denied, and
+# hygiene guards asserting the tests left no stray on-disk files — page
+# files, `.pages.compact` rewrite scratch, WALs, manifests,
+# `.manifest.tmp`/`.manifest.prev` checkpoint scratch or replica generation
+# directories — behind.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -145,6 +146,9 @@ fi
 
 echo "==> cargo bench --no-run"
 cargo bench --no-run
+
+echo "==> perfbench build (its TracedStore implements ListStore, so trait edits must keep it compiling)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
