@@ -1,11 +1,13 @@
-//! Criterion micro-benchmarks for the crypto substrate: hashing, keystream
-//! and posting-element seal/open throughput.  These bound the index build and
-//! insert rates reported in EXPERIMENTS.md.
+//! Criterion micro-benchmarks for the crypto substrate: hashing, keystream,
+//! posting-element seal/open and the server's token check.  Seal bounds the
+//! index build and insert rates; open and the token check sit on every
+//! query.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use zerber_base::{EncryptedElement, MergedListId, PostingPayload};
 use zerber_corpus::{DocId, GroupId, TermId};
 use zerber_crypto::{ChaCha20, DeterministicRng, HmacSha256, MasterKey, Sha256};
+use zerber_protocol::AccessControl;
 
 fn bench_sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
@@ -64,12 +66,38 @@ fn bench_posting_element_seal_open(c: &mut Criterion) {
     group.bench_function("open", |b| {
         b.iter(|| sealed.open(&keys, MergedListId(3)).unwrap())
     });
+    // The client's path: open the wire bytes in place.
+    group.bench_function("open_sealed", |b| {
+        b.iter(|| {
+            EncryptedElement::open_sealed(
+                std::hint::black_box(&sealed.ciphertext),
+                &keys,
+                MergedListId(3),
+            )
+            .unwrap()
+        })
+    });
+    group.finish();
+}
+
+fn bench_acl_authenticate(c: &mut Criterion) {
+    let mut acl = AccessControl::new(b"server-secret");
+    acl.register_user("user-0", &[GroupId(0), GroupId(2)]);
+    let token = acl.issue_token("user-0");
+    let mut group = c.benchmark_group("acl");
+    group.bench_function("acl_authenticate", |b| {
+        b.iter(|| {
+            acl.authenticate(std::hint::black_box("user-0"), &token)
+                .unwrap()
+        })
+    });
     group.finish();
 }
 
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_sha256, bench_hmac_and_chacha, bench_posting_element_seal_open
+    targets = bench_sha256, bench_hmac_and_chacha, bench_posting_element_seal_open,
+        bench_acl_authenticate
 );
 criterion_main!(benches);

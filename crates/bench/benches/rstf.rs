@@ -1,7 +1,6 @@
 //! Criterion micro-benchmarks for the RSTF: transformation throughput for
 //! both kernels and the cost of the σ cross-validation sweep.  The
-//! logistic-vs-erf comparison is the kernel ablation called out in
-//! DESIGN.md §6.
+//! logistic-vs-erf comparison is the kernel ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

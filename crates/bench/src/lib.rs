@@ -1,9 +1,10 @@
 //! Shared infrastructure for the figure/table harness binaries.
 //!
 //! Every binary in `src/bin/` regenerates one figure or table of the paper's
-//! evaluation section (see DESIGN.md §4 for the index).  Output is printed as
-//! aligned text tables plus machine-readable CSV lines prefixed with `csv,`,
-//! so results can be both read in the terminal and post-processed.
+//! evaluation section and is named after it (e.g. `fig09_sigma_selection`).
+//! Output is printed as aligned text tables plus machine-readable CSV lines
+//! prefixed with `csv,`, so results can be both read in the terminal and
+//! post-processed.
 //!
 //! All binaries accept:
 //!

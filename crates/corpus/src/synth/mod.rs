@@ -12,8 +12,7 @@
 //! stand-ins that reproduce the *statistical* properties the experiments
 //! depend on: Zipfian term popularity (Figure 4), heavy-tailed document
 //! lengths, term-specific normalized-TF distributions (Figure 5), and a
-//! group/topic structure for access control.  See DESIGN.md §3 for the full
-//! substitution argument.
+//! group/topic structure for access control.
 
 pub mod sampling;
 pub mod zipf;
@@ -113,8 +112,8 @@ pub struct SynthConfig {
     pub profile: DatasetProfile,
     /// Linear scale factor applied to document count, group count and
     /// vocabulary size (1.0 = paper scale).  Benchmarks use smaller scales to
-    /// keep laptop runtimes reasonable; EXPERIMENTS.md records the scale used
-    /// for every reported number.
+    /// keep laptop runtimes reasonable (the harness binaries take
+    /// `--scale`).
     pub scale: f64,
     /// RNG seed; generation is fully deterministic given the configuration.
     pub seed: u64,

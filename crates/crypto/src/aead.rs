@@ -12,18 +12,21 @@
 
 use crate::chacha20::{ChaCha20, KEY_LEN, NONCE_LEN};
 use crate::error::CryptoError;
-use crate::hmac::{constant_time_eq, HmacSha256};
+use crate::hmac::{constant_time_eq, HmacSha256, MAC_LEN};
 
 /// Truncated tag length in bytes.
 pub const TAG_LEN: usize = 16;
 /// Total ciphertext expansion: nonce plus tag.
 pub const OVERHEAD: usize = NONCE_LEN + TAG_LEN;
 
-/// A key pair for authenticated encryption.
+/// A key pair for authenticated encryption, keyed once: the cipher's key
+/// words and the MAC's pad midstates are computed at construction and
+/// reused by every seal and open.
 #[derive(Clone)]
 pub struct AeadKey {
-    enc_key: [u8; KEY_LEN],
-    mac_key: [u8; KEY_LEN],
+    cipher: ChaCha20,
+    /// Keyed with the MAC key, nothing absorbed; cloned for every tag.
+    mac: HmacSha256,
 }
 
 impl std::fmt::Debug for AeadKey {
@@ -36,7 +39,10 @@ impl std::fmt::Debug for AeadKey {
 impl AeadKey {
     /// Creates a key pair from raw key material.
     pub fn new(enc_key: [u8; KEY_LEN], mac_key: [u8; KEY_LEN]) -> Self {
-        AeadKey { enc_key, mac_key }
+        AeadKey {
+            cipher: ChaCha20::from_key(&enc_key),
+            mac: HmacSha256::new(&mac_key),
+        }
     }
 
     /// Encrypts `plaintext` with the supplied unique `nonce`, authenticating
@@ -47,33 +53,50 @@ impl AeadKey {
         plaintext: &[u8],
         aad: &[u8],
     ) -> Result<Vec<u8>, CryptoError> {
-        let cipher = ChaCha20::new(&self.enc_key)?;
-        let ciphertext = cipher.encrypt(nonce, 1, plaintext)?;
-        let tag = self.tag(nonce, &ciphertext, aad);
-        let mut out = Vec::with_capacity(OVERHEAD + ciphertext.len());
+        let mut out = Vec::with_capacity(OVERHEAD + plaintext.len());
         out.extend_from_slice(nonce);
-        out.extend_from_slice(&ciphertext);
+        out.extend_from_slice(plaintext);
+        self.cipher
+            .apply_keystream(nonce, 1, &mut out[NONCE_LEN..])?;
+        let tag = self.tag(nonce, &out[NONCE_LEN..], aad);
         out.extend_from_slice(&tag[..TAG_LEN]);
         Ok(out)
     }
 
     /// Verifies and decrypts a sealed box produced by [`AeadKey::seal`].
     pub fn open(&self, sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>, CryptoError> {
+        let mut out = vec![0u8; sealed.len().saturating_sub(OVERHEAD)];
+        self.open_into(sealed, aad, &mut out)?;
+        Ok(out)
+    }
+
+    /// Verifies and decrypts a sealed box into `out`, which must be exactly
+    /// as long as its plaintext (`sealed.len() - OVERHEAD`).
+    ///
+    /// The tag is checked in constant time before anything is written, so
+    /// on any error `out` is left untouched.
+    pub fn open_into(&self, sealed: &[u8], aad: &[u8], out: &mut [u8]) -> Result<(), CryptoError> {
         if sealed.len() < OVERHEAD {
             return Err(CryptoError::CiphertextTooShort);
         }
         let (nonce, rest) = sealed.split_at(NONCE_LEN);
         let (ciphertext, tag) = rest.split_at(rest.len() - TAG_LEN);
+        if out.len() != ciphertext.len() {
+            return Err(CryptoError::OutputLengthMismatch {
+                expected: ciphertext.len(),
+                got: out.len(),
+            });
+        }
         let expected = self.tag(nonce, ciphertext, aad);
         if !constant_time_eq(&expected[..TAG_LEN], tag) {
             return Err(CryptoError::AuthenticationFailed);
         }
-        let cipher = ChaCha20::new(&self.enc_key)?;
-        cipher.encrypt(nonce, 1, ciphertext)
+        out.copy_from_slice(ciphertext);
+        self.cipher.apply_keystream(nonce, 1, out)
     }
 
-    fn tag(&self, nonce: &[u8], ciphertext: &[u8], aad: &[u8]) -> [u8; 32] {
-        let mut mac = HmacSha256::new(&self.mac_key);
+    fn tag(&self, nonce: &[u8], ciphertext: &[u8], aad: &[u8]) -> [u8; MAC_LEN] {
+        let mut mac = self.mac.clone();
         mac.update(&(aad.len() as u64).to_le_bytes());
         mac.update(aad);
         mac.update(nonce);

@@ -16,25 +16,35 @@ pub const NONCE_LEN: usize = 12;
 pub const BLOCK_LEN: usize = 64;
 
 /// A ChaCha20 cipher instance bound to a key.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ChaCha20 {
     key_words: [u32; 8],
 }
 
+impl std::fmt::Debug for ChaCha20 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print key material.
+        write!(f, "ChaCha20(..)")
+    }
+}
+
 impl ChaCha20 {
-    /// Creates a cipher from a 32-byte key.
+    /// Creates a cipher from a key slice, which must be 32 bytes long.
     pub fn new(key: &[u8]) -> Result<Self, CryptoError> {
-        if key.len() != KEY_LEN {
-            return Err(CryptoError::InvalidKeyLength {
-                expected: KEY_LEN,
-                got: key.len(),
-            });
-        }
+        let key: &[u8; KEY_LEN] = key.try_into().map_err(|_| CryptoError::InvalidKeyLength {
+            expected: KEY_LEN,
+            got: key.len(),
+        })?;
+        Ok(Self::from_key(key))
+    }
+
+    /// Creates a cipher from a 32-byte key.
+    pub fn from_key(key: &[u8; KEY_LEN]) -> Self {
         let mut key_words = [0u32; 8];
         for (i, chunk) in key.chunks_exact(4).enumerate() {
             key_words[i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
-        Ok(ChaCha20 { key_words })
+        ChaCha20 { key_words }
     }
 
     /// Generates the 64-byte keystream block for `(counter, nonce)`.
@@ -203,6 +213,12 @@ only one tip for the future, sunscreen would be it.";
                 got: 8
             })
         ));
+    }
+
+    #[test]
+    fn debug_does_not_leak_key_material() {
+        let cipher = ChaCha20::from_key(&[0x11; 32]);
+        assert_eq!(format!("{cipher:?}"), "ChaCha20(..)");
     }
 
     #[test]

@@ -16,6 +16,9 @@ pub enum CryptoError {
     InvalidNonceLength { expected: usize, got: usize },
     /// HKDF output length request exceeded the RFC 5869 limit (255 blocks).
     OutputTooLong,
+    /// The buffer handed to [`crate::AeadKey::open_into`] does not match the
+    /// plaintext length of the sealed box.
+    OutputLengthMismatch { expected: usize, got: usize },
 }
 
 impl fmt::Display for CryptoError {
@@ -36,6 +39,10 @@ impl fmt::Display for CryptoError {
                 )
             }
             CryptoError::OutputTooLong => write!(f, "requested HKDF output is too long"),
+            CryptoError::OutputLengthMismatch { expected, got } => write!(
+                f,
+                "sealed box holds {expected} plaintext bytes, output buffer has {got}"
+            ),
         }
     }
 }

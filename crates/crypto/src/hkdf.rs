@@ -23,8 +23,9 @@ pub fn expand(prk: &[u8], info: &[u8], len: usize) -> Result<Vec<u8>, CryptoErro
     let mut okm = Vec::with_capacity(len);
     let mut previous: Vec<u8> = Vec::new();
     let mut counter = 1u8;
+    let keyed = HmacSha256::new(prk);
     while okm.len() < len {
-        let mut h = HmacSha256::new(prk);
+        let mut h = keyed.clone();
         h.update(&previous);
         h.update(info);
         h.update(&[counter]);

@@ -1,7 +1,14 @@
 //! HMAC-SHA-256 (RFC 2104 / FIPS 198-1).
 //!
-//! Used for message authentication in the encrypt-then-MAC AEAD and as the
-//! PRF inside HKDF.  Validated against the RFC 4231 test vectors.
+//! Used for message authentication in the encrypt-then-MAC AEAD, for the
+//! server's bearer tokens and as the PRF inside HKDF.  Validated against the
+//! RFC 4231 test vectors.
+//!
+//! A freshly keyed [`HmacSha256`] holds the inner and outer SHA-256
+//! midstates after absorbing `key ⊕ ipad` and `key ⊕ opad` (RFC 2104 §4).
+//! Keep one per key and clone it for every message: each MAC then costs
+//! the compressions of its message plus one for the outer hash, instead of
+//! re-hashing both pad blocks.
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
@@ -9,10 +16,19 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 pub const MAC_LEN: usize = DIGEST_LEN;
 
 /// Incremental HMAC-SHA-256.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct HmacSha256 {
+    /// SHA-256 after `key ⊕ ipad`, then the message absorbed so far.
     inner: Sha256,
-    outer_key: [u8; BLOCK_LEN],
+    /// SHA-256 after `key ⊕ opad`.
+    outer: Sha256,
+}
+
+impl std::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The midstates are key-derived: never print them.
+        write!(f, "HmacSha256(..)")
+    }
 }
 
 impl HmacSha256 {
@@ -33,10 +49,9 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            outer_key: opad,
-        }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message data.
@@ -47,8 +62,7 @@ impl HmacSha256 {
     /// Finishes and returns the 32-byte tag.
     pub fn finalize(self) -> [u8; MAC_LEN] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
     }
@@ -163,5 +177,16 @@ mod tests {
     #[test]
     fn different_keys_give_different_tags() {
         assert_ne!(HmacSha256::mac(b"k1", b"m"), HmacSha256::mac(b"k2", b"m"));
+    }
+
+    #[test]
+    fn debug_does_not_leak_key_material() {
+        // The midstates are key-derived; the output must not depend on them.
+        let h = HmacSha256::new(&[0x11; 32]);
+        let s = format!("{h:?}");
+        assert_eq!(s, "HmacSha256(..)");
+        let mut used = h.clone();
+        used.update(b"message");
+        assert_eq!(format!("{used:?}"), "HmacSha256(..)");
     }
 }

@@ -5,7 +5,8 @@
 //! payloads, (b) per-group keys so access control can be enforced
 //! cryptographically, and (c) deterministic term tokens so clients can address
 //! posting lists without revealing terms.  All primitives are implemented
-//! from scratch (DESIGN.md §5) and validated against published test vectors:
+//! from scratch (no external crypto crates) and validated against published
+//! test vectors:
 //!
 //! * [`sha256`] — SHA-256 (FIPS 180-4),
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104, vectors from RFC 4231),

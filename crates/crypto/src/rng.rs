@@ -22,7 +22,7 @@ impl DeterministicRng {
     /// Creates a generator from a 32-byte seed.
     pub fn from_seed(seed: [u8; 32]) -> Self {
         DeterministicRng {
-            cipher: ChaCha20::new(&seed).expect("seed length is fixed at 32 bytes"),
+            cipher: ChaCha20::from_key(&seed),
             counter: 0,
             buffer: [0u8; BLOCK_LEN],
             used: BLOCK_LEN,

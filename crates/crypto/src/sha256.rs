@@ -3,8 +3,8 @@
 //! The Zerber design encrypts term and document identifiers inside posting
 //! elements and authenticates users against the index server; both need a
 //! collision-resistant hash.  No external crypto crates are used in this
-//! reproduction (DESIGN.md §5), so SHA-256 is implemented here and validated
-//! against the FIPS / NIST example vectors.
+//! reproduction, so SHA-256 is implemented here and validated against the
+//! FIPS / NIST example vectors.
 
 /// Output size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -82,15 +82,17 @@ impl Sha256 {
     /// Finishes hashing and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zero padding then the 64-bit big-endian length.
-        self.update_padding(0x80);
-        while self.buffer_len != 56 {
-            self.update_padding(0x00);
-        }
-        let len_bytes = bit_len.to_be_bytes();
-        for b in len_bytes {
-            self.update_padding(b);
-        }
+        // 0x80, zero padding up to 56 bytes mod 64, then the 64-bit
+        // big-endian length, absorbed in one call.
+        let len_at = if self.buffer_len < 56 {
+            56 - self.buffer_len
+        } else {
+            BLOCK_LEN + 56 - self.buffer_len
+        };
+        let mut padding = [0u8; BLOCK_LEN + 8];
+        padding[0] = 0x80;
+        padding[len_at..len_at + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&padding[..len_at + 8]);
         debug_assert_eq!(self.buffer_len, 0);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
@@ -104,16 +106,6 @@ impl Sha256 {
         let mut h = Sha256::new();
         h.update(data);
         h.finalize()
-    }
-
-    fn update_padding(&mut self, byte: u8) {
-        self.buffer[self.buffer_len] = byte;
-        self.buffer_len += 1;
-        if self.buffer_len == BLOCK_LEN {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
-        }
     }
 
     fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
@@ -236,6 +228,49 @@ mod tests {
             to_hex(&Sha256::digest(&data)),
             "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"
         );
+    }
+
+    #[test]
+    fn padding_edge_lengths_match_reference_digests() {
+        // Lengths where the 0x80 byte and the 8-byte length land at the end
+        // of a block, spill into a fresh one or start one.  Expected digests
+        // of `b"a" * n` from Python's `hashlib.sha256`.
+        let cases = [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ];
+        for (len, want) in cases {
+            let data = vec![b'a'; len];
+            assert_eq!(to_hex(&Sha256::digest(&data)), want, "length {len}");
+            // Byte-at-a-time absorption pads from every buffer fill level.
+            let mut h = Sha256::new();
+            for byte in &data {
+                h.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(to_hex(&h.finalize()), want, "length {len}, incremental");
+        }
     }
 
     #[test]

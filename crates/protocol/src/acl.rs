@@ -9,6 +9,7 @@
 use std::collections::{HashMap, HashSet};
 
 use zerber_corpus::GroupId;
+use zerber_crypto::hmac::constant_time_eq;
 use zerber_crypto::HmacSha256;
 
 use crate::error::ProtocolError;
@@ -18,17 +19,28 @@ use crate::error::ProtocolError;
 pub struct AuthToken(pub [u8; 32]);
 
 /// Server-side user directory: who exists and which groups they belong to.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone)]
 pub struct AccessControl {
-    server_secret: Vec<u8>,
+    /// HMAC keyed with the server secret, nothing absorbed; cloned for every
+    /// token, so issuing or checking one hashes only the user name.
+    token_mac: HmacSha256,
     memberships: HashMap<String, HashSet<GroupId>>,
+}
+
+impl std::fmt::Debug for AccessControl {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print the (pre-keyed) server secret.
+        f.debug_struct("AccessControl")
+            .field("users", &self.memberships.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl AccessControl {
     /// Creates a directory with the given server secret.
     pub fn new(server_secret: &[u8]) -> Self {
         AccessControl {
-            server_secret: server_secret.to_vec(),
+            token_mac: HmacSha256::new(server_secret),
             memberships: HashMap::new(),
         }
     }
@@ -62,7 +74,9 @@ impl AccessControl {
     /// The token a legitimate user obtains out of band (e.g. from the
     /// enterprise identity provider).
     pub fn issue_token(&self, user: &str) -> AuthToken {
-        AuthToken(HmacSha256::mac(&self.server_secret, user.as_bytes()))
+        let mut mac = self.token_mac.clone();
+        mac.update(user.as_bytes());
+        AuthToken(mac.finalize())
     }
 
     /// Verifies the token and returns the user's groups.
@@ -72,7 +86,7 @@ impl AccessControl {
         token: &AuthToken,
     ) -> Result<Vec<GroupId>, ProtocolError> {
         let expected = self.issue_token(user);
-        if expected != *token {
+        if !constant_time_eq(&expected.0, &token.0) {
             return Err(ProtocolError::AuthenticationFailed(user.to_string()));
         }
         let groups = self
@@ -165,6 +179,36 @@ mod tests {
         assert!(acl.check_member("alice", &token, GroupId(3)).is_ok());
         acl.revoke("alice", GroupId(3));
         assert!(acl.check_member("alice", &token, GroupId(3)).is_err());
+    }
+
+    #[test]
+    fn a_token_differing_only_in_its_last_byte_is_rejected() {
+        let acl = acl();
+        let mut token = acl.issue_token("john");
+        token.0[31] ^= 0x01;
+        assert!(matches!(
+            acl.authenticate("john", &token),
+            Err(ProtocolError::AuthenticationFailed(_))
+        ));
+    }
+
+    #[test]
+    fn tokens_are_hmac_sha256_of_the_user_name() {
+        // The token format is handed to users out of band: pin it.
+        assert_eq!(
+            acl().issue_token("john").0,
+            HmacSha256::mac(b"server-secret", b"john")
+        );
+        assert_eq!(
+            zerber_crypto::sha256::to_hex(&acl().issue_token("john").0),
+            "b51b1b19ca661ce626c92d12f9f694fbd5d406c1464d5e9595d572f423fa3944"
+        );
+    }
+
+    #[test]
+    fn debug_does_not_leak_the_server_secret() {
+        let acl = AccessControl::new(&[0xA7; 32]);
+        assert_eq!(format!("{acl:?}"), "AccessControl { users: 0, .. }");
     }
 
     #[test]

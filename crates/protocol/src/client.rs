@@ -138,13 +138,7 @@ impl TermRun {
                 // The server should not have sent this; skip defensively.
                 continue;
             };
-            let sealed = EncryptedElement {
-                group: wire.group,
-                ciphertext: wire.ciphertext.clone(),
-            };
-            let payload = sealed
-                .open(keys, list)
-                .map_err(|e| ProtocolError::Core(e.to_string()))?;
+            let payload = EncryptedElement::open_sealed(&wire.ciphertext, keys, list)?;
             if payload.term == self.term {
                 self.results.push((payload.doc, payload.relevance()));
                 if self.results.len() == self.config.k {
@@ -423,6 +417,7 @@ impl Client {
 mod tests {
     use super::*;
     use crate::acl::AccessControl;
+    use crate::message::WireElement;
     use zerber_base::{BfmMerge, ConfidentialityParam, MergeScheme};
     use zerber_corpus::{
         sample_split, Corpus, CorpusGenerator, CorpusStats, CustomProfile, DatasetProfile,
@@ -710,6 +705,47 @@ mod tests {
             assert_eq!(outcome, solo, "term {term}");
         }
         assert_eq!(f.server.open_cursors(), 0, "rounds must not leak sessions");
+    }
+
+    #[test]
+    fn malformed_elements_from_the_server_are_typed_errors_and_release_the_cursor() {
+        let f = fixture();
+        let john = client(&f, "john", &[0, 1]);
+        let config = RetrievalConfig::for_k(10);
+        let term = f.stats.terms_by_doc_freq()[0];
+        type Corrupt = fn(&mut WireElement, &GroupKeys, u64);
+        let corruptions: [(&str, Corrupt); 3] = [
+            ("shorter than nonce + tag", |wire, _, _| {
+                wire.ciphertext.truncate(zerber_crypto::OVERHEAD - 1);
+            }),
+            ("15-byte payload", |wire, keys, list| {
+                wire.ciphertext = keys
+                    .aead()
+                    .seal(&[3; 12], &[0; 15], &list.to_le_bytes())
+                    .unwrap();
+            }),
+            ("flipped tag", |wire, _, _| {
+                *wire.ciphertext.last_mut().unwrap() ^= 0x01;
+            }),
+        ];
+        for (what, corrupt) in corruptions {
+            // A follow-up request, so the response carries an open session
+            // (sessions open lazily on the first follow-up).
+            let (mut request, token) = john.prepare_initial(&f.plan, term, &config).unwrap();
+            request.offset = u64::from(request.count);
+            let mut response = f.server.handle_query(&request, &token).unwrap();
+            assert_eq!(f.server.open_cursors(), 1, "{what}: a session is open");
+            let wire = &mut response.elements[0];
+            let keys = f.master.group_keys(wire.group.0);
+            corrupt(wire, &keys, request.list);
+            let result =
+                john.complete_query(&f.server, &f.plan, term, &config, &request, &response);
+            assert!(
+                matches!(result, Err(ProtocolError::Core(_))),
+                "{what}: {result:?}"
+            );
+            assert_eq!(f.server.open_cursors(), 0, "{what}: session released");
+        }
     }
 
     #[test]

@@ -1504,6 +1504,16 @@ mod tests {
     }
 
     #[test]
+    fn debug_output_does_not_leak_the_server_secret() {
+        let (_, server, _, _) = server_fixture();
+        let s = format!("{server:?}");
+        // The fixture's secret is `b"srv"`: neither its bytes nor any
+        // key-derived state may be printed.
+        assert!(!s.contains("115, 114, 118"));
+        assert!(s.contains("AccessControl { users: 2, .. }"));
+    }
+
+    #[test]
     fn stats_reset_and_size_accessors_work() {
         let (c, server, _, _) = server_fixture();
         let token = server.acl().issue_token("john");

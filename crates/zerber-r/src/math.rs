@@ -1,7 +1,7 @@
 //! Numeric helpers: error function, Gaussian and logistic CDFs, and summary
 //! statistics used by the RSTF construction and its evaluation.
 //!
-//! No external math crates are used (DESIGN.md §5); `erf` uses the
+//! No external math crates are used; `erf` uses the
 //! Abramowitz–Stegun 7.1.26 rational approximation, whose absolute error is
 //! below `1.5e-7` — far below the TRS variance thresholds discussed in
 //! Section 5.1.3 of the paper (~2e-5).

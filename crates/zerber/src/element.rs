@@ -53,20 +53,24 @@ impl PostingPayload {
 
     /// Decodes a payload produced by [`PostingPayload::encode`].
     pub fn decode(bytes: &[u8]) -> Result<Self, ZerberError> {
-        if bytes.len() != PAYLOAD_BYTES {
-            return Err(ZerberError::Crypto(format!(
+        let bytes = bytes.try_into().map_err(|_| {
+            ZerberError::Crypto(format!(
                 "payload must be {PAYLOAD_BYTES} bytes, got {}",
                 bytes.len()
-            )));
-        }
+            ))
+        })?;
+        Ok(Self::from_bytes(bytes))
+    }
+
+    fn from_bytes(bytes: &[u8; PAYLOAD_BYTES]) -> Self {
         let word =
             |i: usize| u32::from_le_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]);
-        Ok(PostingPayload {
+        PostingPayload {
             term: TermId(word(0)),
             doc: DocId(word(4)),
             tf: word(8),
             doc_len: word(12),
-        })
+        }
     }
 }
 
@@ -105,9 +109,21 @@ impl EncryptedElement {
         keys: &GroupKeys,
         list: MergedListId,
     ) -> Result<PostingPayload, ZerberError> {
-        let aad = list.0.to_le_bytes();
-        let plain = keys.aead().open(&self.ciphertext, &aad)?;
-        PostingPayload::decode(&plain)
+        Self::open_sealed(&self.ciphertext, keys, list)
+    }
+
+    /// Opens a sealed payload as received off the wire (an element's
+    /// `ciphertext`), decrypting on the stack.  Any length other than
+    /// [`SEALED_PAYLOAD_BYTES`] and any tag mismatch is an error.
+    pub fn open_sealed(
+        sealed: &[u8],
+        keys: &GroupKeys,
+        list: MergedListId,
+    ) -> Result<PostingPayload, ZerberError> {
+        let mut plain = [0u8; PAYLOAD_BYTES];
+        keys.aead()
+            .open_into(sealed, &list.0.to_le_bytes(), &mut plain)?;
+        Ok(PostingPayload::from_bytes(&plain))
     }
 
     /// Size of the element on the wire / on disk, in bytes (ciphertext plus
@@ -168,6 +184,57 @@ mod tests {
         assert_eq!(e.ciphertext.len(), SEALED_PAYLOAD_BYTES);
         assert_eq!(e.stored_bytes(), SEALED_PAYLOAD_BYTES + 4);
         assert_eq!(e.open(&keys, MergedListId(3)).unwrap(), payload());
+    }
+
+    #[test]
+    fn sealed_bytes_are_pinned() {
+        // Page files and WAL records hold these bytes: the format must not
+        // change.  Produced by the implementation that first wrote them.
+        let keys = keys();
+        let mut rng = DeterministicRng::from_u64(5);
+        let want = [
+            "9eaa5ec1b16abcbfab2bf4d8fa203617bc569ad784554733e57c4fd5e29ad62e2484cb71c6a7fe3e8ae47ec6",
+            "d5b5c52f3b88ca043fcec1748134e93cb3ade94168b88ab773528b2a19e1329c9090cfe5f42824b8acdd6e5f",
+        ];
+        for want in want {
+            let e =
+                EncryptedElement::seal(&payload(), GroupId(2), &keys, MergedListId(3), &mut rng)
+                    .unwrap();
+            assert_eq!(zerber_crypto::sha256::to_hex(&e.ciphertext), want);
+        }
+    }
+
+    #[test]
+    fn open_sealed_rejects_malformed_wire_bytes() {
+        let keys = keys();
+        let mut rng = DeterministicRng::from_u64(9);
+        let e = EncryptedElement::seal(&payload(), GroupId(2), &keys, MergedListId(3), &mut rng)
+            .unwrap();
+        assert_eq!(
+            EncryptedElement::open_sealed(&e.ciphertext, &keys, MergedListId(3)).unwrap(),
+            payload()
+        );
+        // Shorter than nonce + tag, a box of a 15- or 17-byte payload, a
+        // flipped tag bit: each an error, never a panic.
+        assert!(EncryptedElement::open_sealed(
+            &e.ciphertext[..OVERHEAD - 1],
+            &keys,
+            MergedListId(3)
+        )
+        .is_err());
+        let short = keys
+            .aead()
+            .seal(&[1; 12], &[0; 15], &3u64.to_le_bytes())
+            .unwrap();
+        let long = keys
+            .aead()
+            .seal(&[1; 12], &[0; 17], &3u64.to_le_bytes())
+            .unwrap();
+        assert!(EncryptedElement::open_sealed(&short, &keys, MergedListId(3)).is_err());
+        assert!(EncryptedElement::open_sealed(&long, &keys, MergedListId(3)).is_err());
+        let mut flipped = e.ciphertext.clone();
+        *flipped.last_mut().unwrap() ^= 0x80;
+        assert!(EncryptedElement::open_sealed(&flipped, &keys, MergedListId(3)).is_err());
     }
 
     #[test]

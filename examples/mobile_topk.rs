@@ -21,7 +21,7 @@ use zerber_suite::zerber_r::GrowthPolicy;
 
 fn main() {
     let k = 10usize;
-    // A laptop-scale StudIP stand-in (see DESIGN.md §3 for the calibration).
+    // A laptop-scale StudIP stand-in.
     let bed = TestBed::build(TestBedConfig {
         scale: 0.04,
         ..TestBedConfig::small(DatasetProfile::StudIp)

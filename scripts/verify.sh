@@ -13,7 +13,7 @@
 # fault-injected durable recovery suite plus a repeated
 # kill-at-every-injection-point crash stress loop, the fault-injected
 # replication suite plus a repeated disconnect-storm stress loop, bench
-# compilation, the perfbench build, clippy with warnings denied, and
+# compilation, the perfbench build and tests, clippy with warnings denied, and
 # hygiene guards asserting the tests left no stray on-disk files — page
 # files, `.pages.compact` rewrite scratch, WALs, manifests,
 # `.manifest.tmp`/`.manifest.prev` checkpoint scratch or replica generation
@@ -149,6 +149,9 @@ cargo bench --no-run
 
 echo "==> perfbench build (its TracedStore implements ListStore, so trait edits must keep it compiling)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench tests (every workload at a tiny size, answers checked end to end)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
